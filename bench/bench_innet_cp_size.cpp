@@ -4,7 +4,7 @@
 //
 // Under plain kCicero every replica sends the target switch a full
 // signed update, so controller egress grows linearly with n.  Under
-// kInNetwork one rank-0 replica sends the full body to the domain's
+// kCiceroInNetwork one rank-0 replica sends the full body to the domain's
 // designated aggregator switch, ranks 1..t-1 send compact digest
 // shares, and ranks >= t stay silent — the aggregator compares digests,
 // combines the threshold partials and fans out ONE aggregated update.
@@ -28,14 +28,13 @@ struct Cell {
   double switch_cpu_ms = 0.0;
 };
 
-Cell measure(core::AggregationMode agg, std::size_t controllers,
+Cell measure(core::FrameworkKind framework, std::size_t controllers,
              obs::RunReport& report) {
   net::FabricParams p;
   p.racks_per_pod = 4;
   p.hosts_per_rack = 4;
   core::DeploymentParams dp;
-  dp.framework = core::FrameworkKind::kCicero;
-  dp.aggregation = agg;
+  dp.framework = framework;
   dp.controllers_per_domain = controllers;
   dp.real_crypto = false;
   dp.seed = 42;
@@ -63,7 +62,7 @@ Cell measure(core::AggregationMode agg, std::size_t controllers,
   cell.switch_cpu_ms = cpu_ms;
 
   const std::string label =
-      std::string(agg == core::AggregationMode::kInNetwork ? "innet" : "cicero") +
+      std::string(framework == core::FrameworkKind::kCiceroInNetwork ? "innet" : "cicero") +
       "_n" + std::to_string(controllers);
   report_run(report, *dep, label, wall);
   obs::MetricsRegistry extra;
@@ -88,8 +87,8 @@ int main() {
               "cicero cpu_ms", "innet cpu_ms");
   double base10 = 0.0, innet10 = 0.0;
   for (const std::size_t n : sizes) {
-    const Cell base = measure(core::AggregationMode::kNone, n, report);
-    const Cell innet = measure(core::AggregationMode::kInNetwork, n, report);
+    const Cell base = measure(core::FrameworkKind::kCicero, n, report);
+    const Cell innet = measure(core::FrameworkKind::kCiceroInNetwork, n, report);
     if (n == 10) {
       base10 = base.bytes_per_update;
       innet10 = innet.bytes_per_update;

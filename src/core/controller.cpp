@@ -112,8 +112,7 @@ void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
     }
     case CoreMsgTag::kAck: {
       if (auto a = AckMsg::decode(wire)) {
-        const bool verify = config_.framework == FrameworkKind::kCicero ||
-                            config_.framework == FrameworkKind::kCiceroAgg;
+        const bool verify = is_threshold_signed(config_.framework);
         const sim::SimTime cost = config_.costs.ctrl_msg_handling +
                                   (verify ? config_.costs.ack_verify : sim::SimTime{0});
         cpu_.execute(cost, "ack.verify", [this, a = std::move(*a)] { on_ack(a); });
@@ -161,10 +160,8 @@ void Controller::on_event(const Event& e) {
 
   // The centralized/crash-tolerant baselines run one global control plane
   // spanning every domain: no filtering, no forwarding.
-  const bool global_plane = config_.framework == FrameworkKind::kCentralized ||
-                            config_.framework == FrameworkKind::kCrashTolerant;
   bool ours = true;
-  if (!global_plane &&
+  if (!uses_global_plane(config_.framework) &&
       (e.kind == EventKind::kFlowRequest || e.kind == EventKind::kFlowTeardown)) {
     const auto path = env_.topology->shortest_path(e.match.src_host, e.match.dst_host);
     if (path.empty()) return;
@@ -286,8 +283,7 @@ void Controller::process_flow_event(const Event& e) {
   // Domain filter (§3.3): keep updates for our own switches; dependencies
   // on other domains' updates are dropped — each domain applies its
   // segment independently and in parallel.  Global planes keep everything.
-  const bool global_plane = config_.framework == FrameworkKind::kCentralized ||
-                            config_.framework == FrameworkKind::kCrashTolerant;
+  const bool global_plane = uses_global_plane(config_.framework);
   sched::UpdateSchedule local;
   std::set<sched::UpdateId> local_ids;
   for (const auto& su : schedule.updates) {
@@ -333,7 +329,7 @@ void Controller::process_flow_event(const Event& e) {
         cp->update_scheduled(su.update.id, cause.origin, cause.seq, sim_.now());
       }
     }
-    if (config_.execution_mode == ExecutionMode::kDecentralized) {
+    if (config_.framework == FrameworkKind::kCiceroDecentralized) {
       dispatch_decentralized(local, eid);
     } else {
       for (const sched::UpdateId id : ready) release_update(id);
@@ -396,8 +392,7 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
            {"attempt", static_cast<std::int64_t>(fl->second.attempt)}});
     }
     const auto chain = dec_chains_.find(id);
-    if (config_.execution_mode == ExecutionMode::kDecentralized &&
-        chain != dec_chains_.end()) {
+    if (chain != dec_chains_.end()) {
       // Any hop of the chain may have lost its manifest or its in-band
       // SegmentDone; resending every manifest re-triggers both (switches
       // dedupe applied segments and re-signal their successors).
@@ -422,8 +417,7 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
 void Controller::abandon_update(sched::UpdateId id) {
   std::vector<sched::UpdateId> removed;
   const auto chain = dec_chains_.find(id);
-  if (config_.execution_mode == ExecutionMode::kDecentralized &&
-      chain != dec_chains_.end()) {
+  if (chain != dec_chains_.end()) {
     // A sink gave up: its whole ancestor closure is unreachable (only the
     // sink's ack would have completed it).
     for (const sched::UpdateId a : chain->second->plan.ancestors(id)) {
@@ -480,8 +474,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     msg.update.rule.next_hop = update.switch_node;
   }
 
-  const bool threshold = config_.framework == FrameworkKind::kCicero ||
-                         config_.framework == FrameworkKind::kCiceroAgg;
+  const bool threshold = is_threshold_signed(config_.framework);
   const sim::SimTime sign_cost = threshold ? config_.costs.partial_sign : sim::SimTime{0};
 
   if (trace_leader()) {
@@ -513,8 +506,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     // sign and emit (a mutating controller thereby signs evidence of its
     // own corruption; see core/audit.hpp).
     audit_.append(msg.cause, update_signing_bytes(msg.update), config_.key);
-    if (config_.framework == FrameworkKind::kCicero ||
-        config_.framework == FrameworkKind::kCiceroAgg) {
+    if (is_threshold_signed(config_.framework)) {
       if (config_.backend == ThresholdBackend::kFrost) {
         // FROST round 1: attach a fresh one-time nonce commitment; the
         // actual partial is produced in round 2 (on_frost_session).
@@ -531,9 +523,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
         msg.partial.payload = {0x00};  // placeholder (cost-only runs)
       }
     }
-    const bool innet = config_.aggregation == AggregationMode::kInNetwork &&
-                       config_.framework == FrameworkKind::kCicero;
-    if (innet) {
+    if (config_.framework == FrameworkKind::kCiceroInNetwork) {
       const std::size_t rank = member_rank();
       if (!retransmit && rank >= config_.quorum) return;  // silent on the fast path
       ++updates_sent_;
@@ -731,15 +721,13 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
   msg.epoch = membership_phase_;
   if (fault_ == ControllerFault::kMutateUpdates || fault_ == ControllerFault::kRogueUpdates) {
     // Same corruption as dispatch_update: a loop-inducing next hop.  The
-    // switch-local precondition (and, under Cicero, the quorum) rejects it.
+    // switch-local precondition and the quorum reject it.
     msg.manifest.update.rule.next_hop = manifest.update.switch_node;
   }
 
-  const bool threshold = config_.framework == FrameworkKind::kCicero;
-  const sim::SimTime sign_cost = threshold ? config_.costs.partial_sign : sim::SimTime{0};
   const sched::UpdateId uid = manifest.update.id;
-  cpu_.execute(sign_cost, "manifest.sign", [this, uid, retransmit, threshold,
-                                            msg = std::move(msg)]() mutable {
+  cpu_.execute(config_.costs.partial_sign, "manifest.sign", [this, uid, retransmit,
+                                                             msg = std::move(msg)]() mutable {
     if (retransmit && crit_leader()) critpath()->update_retransmitted(uid, sim_.now());
     if (retransmit && trace_leader()) {
       config_.obs->trace.flow_step("flow", flow_track_id(uid), "update.resend", config_.node,
@@ -749,13 +737,11 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
     // Decision audit trail, as for updates: the signed bytes pin the
     // segment's position in the chain, not just the rule.
     audit_.append(msg.cause, signing, config_.key);
-    if (threshold) {
-      if (config_.real_crypto) {
-        msg.partial = crypto::SimBlsScheme::instance().partial_sign(config_.share, signing);
-      } else {
-        msg.partial.signer = config_.share.index;
-        msg.partial.payload = {0x00};  // placeholder (cost-only runs)
-      }
+    if (config_.real_crypto) {
+      msg.partial = crypto::SimBlsScheme::instance().partial_sign(config_.share, signing);
+    } else {
+      msg.partial.signer = config_.share.index;
+      msg.partial.payload = {0x00};  // placeholder (cost-only runs)
     }
     ++manifests_sent_;
     m_manifests_sent_.inc();
@@ -822,15 +808,14 @@ void Controller::on_ack_decentralized(const AckMsg& ack) {
 // ---------------------------------------------------------------------------
 
 void Controller::on_ack(const AckMsg& ack) {
-  const bool threshold = config_.framework == FrameworkKind::kCicero ||
-                         config_.framework == FrameworkKind::kCiceroAgg;
-  if (threshold && config_.real_crypto && !env_.pki->verify_ack(ack)) {
+  if (is_threshold_signed(config_.framework) && config_.real_crypto &&
+      !env_.pki->verify_ack(ack)) {
     CICERO_LOG_WARN(kLog, "c%u: ack with bad signature dropped", config_.id);
     return;
   }
   ++acks_received_;
   m_acks_.inc();
-  if (config_.execution_mode == ExecutionMode::kDecentralized) {
+  if (config_.framework == FrameworkKind::kCiceroDecentralized) {
     on_ack_decentralized(ack);
     return;
   }
@@ -1186,9 +1171,7 @@ void Controller::inject_rogue_update(net::NodeIndex switch_node, const sched::Up
   if (sw_it == env_.switch_nodes.end()) return;
   UpdateMsg msg;
   msg.update = update;
-  if (config_.real_crypto &&
-      (config_.framework == FrameworkKind::kCicero ||
-       config_.framework == FrameworkKind::kCiceroAgg)) {
+  if (config_.real_crypto && is_threshold_signed(config_.framework)) {
     // The rogue controller signs with its own (single) share — deliberately
     // short of a quorum; switches must never apply this.
     msg.partial = crypto::SimBlsScheme::instance().partial_sign(

@@ -75,20 +75,14 @@ class Controller {
     /// Threshold scheme for update authentication; kFrost requires the
     /// kCiceroAgg framework (the aggregator coordinates signing sessions).
     ThresholdBackend backend = ThresholdBackend::kSimBls;
-    /// Controller-driven (one southbound round trip per segment) or
-    /// decentralized (one signed manifest per segment, switches sequence
-    /// the chain in-band; incompatible with kCiceroAgg).
-    ExecutionMode execution_mode = ExecutionMode::kControllerDriven;
-    /// In-network aggregation (DESIGN.md §16): replicas address the
-    /// domain's designated aggregator *switch* instead of the target
-    /// switch.  On the optimistic first send only the lowest-ranked
-    /// replica ships the full update body; the next quorum-1 ranks ship
-    /// compact PartialShareMsgs and the rest stay silent — every replica
-    /// still arms its ack timer, and any retransmission escalates to the
-    /// full body, so liveness never depends on the optimistic cast.
-    AggregationMode aggregation = AggregationMode::kNone;
-    /// Sim address of the designated aggregator switch (kInNetwork only);
-    /// re-pointed by the Deployment when that switch crashes.
+    /// Sim address of the designated aggregator switch (kCiceroInNetwork,
+    /// DESIGN.md §16), re-pointed by the Deployment when that switch
+    /// crashes.  Replicas address it instead of the target switch.  On
+    /// the optimistic first send only the lowest-ranked replica ships the
+    /// full update body; the next quorum-1 ranks ship compact
+    /// PartialShareMsgs and the rest stay silent — every replica still
+    /// arms its ack timer, and any retransmission escalates to the full
+    /// body, so liveness never depends on the optimistic cast.
     sim::NodeId innet_aggregator = sim::kInvalidNode;
     std::uint64_t nonce_seed = 0;  ///< per-controller FROST nonce stream
     bool real_crypto = true;

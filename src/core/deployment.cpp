@@ -23,30 +23,6 @@ Deployment::Deployment(net::Topology topology, DeploymentParams params)
     throw std::invalid_argument(
         "Deployment: the FROST backend requires controller aggregation");
   }
-  if (params_.execution_mode == ExecutionMode::kDecentralized &&
-      params_.framework == FrameworkKind::kCiceroAgg) {
-    throw std::invalid_argument(
-        "Deployment: decentralized execution aggregates manifests at the "
-        "switch, which controller aggregation bypasses");
-  }
-  if (params_.aggregation == AggregationMode::kInNetwork) {
-    if (params_.framework != FrameworkKind::kCicero) {
-      throw std::invalid_argument(
-          "Deployment: in-network aggregation extends the kCicero framework "
-          "(the baselines have no partials to aggregate; kCiceroAgg already "
-          "aggregates at a controller)");
-    }
-    if (params_.execution_mode != ExecutionMode::kControllerDriven) {
-      throw std::invalid_argument(
-          "Deployment: in-network aggregation is controller-driven only "
-          "(decentralized manifests already aggregate at their own switch)");
-    }
-    if (params_.backend != ThresholdBackend::kSimBls) {
-      throw std::invalid_argument(
-          "Deployment: in-network aggregation requires the kSimBls backend "
-          "(FROST's signing session needs a controller coordinator)");
-    }
-  }
   setup_parallel();
   if (psim_ == nullptr) {
     // The trace/log clocks read the sequential simulator; in parallel
@@ -77,12 +53,10 @@ void Deployment::setup_parallel() {
   if (params_.trace) {
     throw std::invalid_argument("Deployment: tracing requires threads == 1");
   }
-  const bool global_plane = params_.framework == FrameworkKind::kCentralized ||
-                            params_.framework == FrameworkKind::kCrashTolerant;
   // One global control plane means every switch talks to one domain —
   // nothing to shard; likewise a single-domain topology.  Both keep the
   // sequential fast path (psim_ stays null).
-  if (global_plane) return;
+  if (uses_global_plane(params_.framework)) return;
   const workload::DomainPartition part = workload::partition_domains(topo_, params_.threads);
   if (part.shards <= 1) return;
   shard_of_domain_ = part.shard_of;
@@ -159,8 +133,7 @@ void Deployment::build_nodes() {
 
   // Control planes: per topology domain for Cicero; one global plane for
   // the centralized and crash-tolerant baselines.
-  const bool global_plane = params_.framework == FrameworkKind::kCentralized ||
-                            params_.framework == FrameworkKind::kCrashTolerant;
+  const bool global_plane = uses_global_plane(params_.framework);
   if (global_plane) {
     build_plane(0, topo_.switches());
   } else {
@@ -189,8 +162,6 @@ void Deployment::build_nodes() {
           *std::min_element(plane.member_ids.begin(), plane.member_ids.end()));
     }
     cfg.real_crypto = params_.real_crypto;
-    cfg.execution_mode = params_.execution_mode;
-    cfg.aggregation = params_.aggregation;
     cfg.switch_directory = &switch_nodes_;
     cfg.pki = &pki_;
     cfg.applied_dedupe_window = params_.applied_dedupe_window;
@@ -205,7 +176,7 @@ void Deployment::build_nodes() {
 
   // Initial in-network aggregator designation (lowest topology index per
   // domain).  Must precede controller construction: member_config reads it.
-  if (params_.aggregation == AggregationMode::kInNetwork) {
+  if (params_.framework == FrameworkKind::kCiceroInNetwork) {
     for (const net::DomainId d : topo_.domains()) {
       innet_agg_switch_[d] = pick_innet_aggregator(d);
     }
@@ -268,9 +239,7 @@ void Deployment::build_plane(net::DomainId domain,
   std::vector<crypto::ShareIndex> indices;
   for (const std::uint32_t id : plane.member_ids) indices.push_back(id + 1);
 
-  if (params_.real_crypto &&
-      (params_.framework == FrameworkKind::kCicero ||
-       params_.framework == FrameworkKind::kCiceroAgg)) {
+  if (params_.real_crypto && is_threshold_signed(params_.framework)) {
     const auto results = crypto::run_dkg(indices, t, drbg_);
     plane.group_pk = results.front().group_public_key;
     plane.verification_shares = results.front().verification_shares;
@@ -308,7 +277,6 @@ Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t i
   cfg.id = id;
   cfg.domain = plane.domain;
   cfg.framework = params_.framework;
-  cfg.execution_mode = params_.execution_mode;
   cfg.costs = params_.costs;
   cfg.node = ctrl_nodes_.at(id);
   cfg.members = member_infos(plane);
@@ -324,8 +292,7 @@ Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t i
   cfg.bft_timeout = params_.bft_timeout;
   cfg.ack_timeout = params_.ack_timeout;
   cfg.update_max_retries = params_.update_max_retries;
-  cfg.aggregation = params_.aggregation;
-  if (params_.aggregation == AggregationMode::kInNetwork) {
+  if (params_.framework == FrameworkKind::kCiceroInNetwork) {
     const auto it = innet_agg_switch_.find(plane.domain);
     if (it != innet_agg_switch_.end() && it->second != net::kNoNode) {
       cfg.innet_aggregator = switch_nodes_.at(it->second);
@@ -409,7 +376,7 @@ void Deployment::restore_link(net::NodeIndex a, net::NodeIndex b) {
 void Deployment::crash_switch(net::NodeIndex sw) {
   switches_.at(sw)->crash();
   faults_->set_node_down(switch_nodes_.at(sw), true);
-  if (params_.aggregation == AggregationMode::kInNetwork) {
+  if (params_.framework == FrameworkKind::kCiceroInNetwork) {
     update_innet_aggregator(topo_.node(sw).domain);
   }
 }
@@ -417,7 +384,7 @@ void Deployment::crash_switch(net::NodeIndex sw) {
 void Deployment::recover_switch(net::NodeIndex sw) {
   faults_->set_node_down(switch_nodes_.at(sw), false);
   switches_.at(sw)->recover();
-  if (params_.aggregation == AggregationMode::kInNetwork) {
+  if (params_.framework == FrameworkKind::kCiceroInNetwork) {
     update_innet_aggregator(topo_.node(sw).domain);
   }
 }
@@ -907,10 +874,9 @@ void Deployment::notify_switches(const Plane& plane) {
                      : sim::kInvalidNode;
   const std::uint32_t bootstrap =
       *std::min_element(plane.member_ids.begin(), plane.member_ids.end());
-  const bool global_plane = params_.framework == FrameworkKind::kCentralized ||
-                            params_.framework == FrameworkKind::kCrashTolerant;
-  for (const net::NodeIndex sw : global_plane ? topo_.switches()
-                                              : topo_.switches_in_domain(plane.domain)) {
+  for (const net::NodeIndex sw : uses_global_plane(params_.framework)
+                                     ? topo_.switches()
+                                     : topo_.switches_in_domain(plane.domain)) {
     net_->send(ctrl_nodes_.at(bootstrap), switch_nodes_.at(sw), m.encode());
   }
 }

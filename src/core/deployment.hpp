@@ -1,11 +1,12 @@
 // Deployment: wires a complete evaluated system.
 //
-// Given a topology, a framework kind (§6.1's four comparands) and sizing
-// parameters, `Deployment` creates the network simulation, the per-domain
-// control planes (with DKG-derived threshold keys), the switch runtimes,
-// the PKI directory, the latency model, and a flow driver that injects
-// workload flows and records the paper's metrics (flow completion times,
-// setup latencies, switch CPU utilisation, per-controller event counts).
+// Given a topology, a framework kind (§6.1's four comparands or one of two
+// Cicero extensions) and sizing parameters, `Deployment` creates the
+// network simulation, the per-domain control planes (with DKG-derived
+// threshold keys), the switch runtimes, the PKI directory, the latency
+// model, and a flow driver that injects workload flows and records the
+// paper's metrics (flow completion times, setup latencies, switch CPU
+// utilisation, per-controller event counts).
 //
 // Centralized/crash-tolerant baselines use a single global control plane
 // regardless of topology domains (that is how the paper deploys them);
@@ -45,19 +46,9 @@
 namespace cicero::core {
 
 struct DeploymentParams {
+  /// The update path (framework.hpp): who aggregates threshold partials
+  /// and whether the controller or the switches sequence each schedule.
   FrameworkKind framework = FrameworkKind::kCicero;
-  /// Update execution: controller-driven (paper §5) releases one signed
-  /// update per segment in dependency order; decentralized (ez-Segway
-  /// mode, DESIGN.md §15) ships every segment at once as a signed
-  /// manifest and lets the switches sequence the chain in-band.
-  /// Incompatible with kCiceroAgg (manifests aggregate at the switch).
-  ExecutionMode execution_mode = ExecutionMode::kControllerDriven;
-  /// Where threshold partials are combined (DESIGN.md §16): kInNetwork
-  /// designates one aggregator switch per domain (P4BFT-style offload —
-  /// replicas send one small message per update instead of one full copy
-  /// each).  Requires kCicero, kControllerDriven and the kSimBls backend
-  /// (FROST's signing session needs a controller coordinator).
-  AggregationMode aggregation = AggregationMode::kNone;
   std::size_t controllers_per_domain = 4;
   /// Switch-side duplicate-suppression window (SwitchRuntime::Config).
   std::size_t applied_dedupe_window = 4096;

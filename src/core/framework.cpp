@@ -12,26 +12,10 @@ const char* framework_name(FrameworkKind kind) {
       return "Cicero";
     case FrameworkKind::kCiceroAgg:
       return "Cicero Agg";
-  }
-  return "?";
-}
-
-const char* execution_mode_name(ExecutionMode mode) {
-  switch (mode) {
-    case ExecutionMode::kControllerDriven:
-      return "controller-driven";
-    case ExecutionMode::kDecentralized:
-      return "decentralized";
-  }
-  return "?";
-}
-
-const char* aggregation_mode_name(AggregationMode mode) {
-  switch (mode) {
-    case AggregationMode::kNone:
-      return "framework-default";
-    case AggregationMode::kInNetwork:
-      return "in-network";
+    case FrameworkKind::kCiceroInNetwork:
+      return "Cicero In-Network";
+    case FrameworkKind::kCiceroDecentralized:
+      return "Cicero Decentralized";
   }
   return "?";
 }

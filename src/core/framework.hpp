@@ -1,10 +1,10 @@
 // Evaluated frameworks and the Table 2 capability matrix.
 //
 // The paper's evaluation compares four update frameworks (§6.1); the same
-// enum selects the deployment wiring throughout this repository.  The
-// capability matrix reproduces Table 2 as data derived from what each
-// implementation actually does, so `bench_table2_features` prints it from
-// code rather than prose.
+// enum, with two Cicero extensions, selects the deployment wiring
+// throughout this repository.  The capability matrix reproduces Table 2
+// as data derived from what each implementation actually does, so
+// `bench_table2_features` prints it from code rather than prose.
 #pragma once
 
 #include <array>
@@ -13,46 +13,51 @@
 
 namespace cicero::core {
 
+/// One value per update path the deployment implements.  The first four
+/// are §6.1's comparands; the last two are Cicero extensions from related
+/// work.  Each value fixes where threshold partials are aggregated and who
+/// sequences a schedule, so no combination of settings needs rejecting
+/// beyond the backend rule (kFrost requires kCiceroAgg: FROST's signing
+/// session needs a controller coordinator).
+///
+/// | framework            | aggregation site           | execution         | backends        |
+/// |----------------------|----------------------------|-------------------|-----------------|
+/// | kCentralized         | none (unauthenticated)     | controller-driven | kSimBls         |
+/// | kCrashTolerant       | none (unauthenticated)     | controller-driven | kSimBls         |
+/// | kCicero              | target switch              | controller-driven | kSimBls         |
+/// | kCiceroAgg           | aggregator controller      | controller-driven | kSimBls, kFrost |
+/// | kCiceroInNetwork     | designated switch (domain) | controller-driven | kSimBls         |
+/// | kCiceroDecentralized | target switch (manifests)  | decentralized     | kSimBls         |
+///
+/// Controller-driven execution (paper §5) releases one signed update per
+/// ack round trip as the dependency tracker frees it.  Decentralized
+/// execution (ez-Segway-style, DESIGN.md §15) pushes the whole signed
+/// schedule to the switches up front as per-segment manifests; switches
+/// coordinate in-band with signed SegmentDone signals and only the sink
+/// segment of each chain reports back.  In-network aggregation
+/// (P4BFT-style, DESIGN.md §16) has every replica address one designated
+/// aggregator switch per domain, which compares response digests,
+/// aggregates and fans the single signed update out to the target switch.
 enum class FrameworkKind : std::uint8_t {
-  kCentralized = 0,    ///< singleton controller, no replication, no auth
-  kCrashTolerant = 1,  ///< BFT-ordered control plane, NO quorum auth on switches
-  kCicero = 2,         ///< full protocol, switch-side signature aggregation
-  kCiceroAgg = 3,      ///< full protocol, controller-side aggregation (§4.2)
+  kCentralized = 0,          ///< singleton controller, no replication, no auth
+  kCrashTolerant = 1,        ///< BFT-ordered control plane, NO quorum auth on switches
+  kCicero = 2,               ///< full protocol, switch-side signature aggregation
+  kCiceroAgg = 3,            ///< full protocol, controller-side aggregation (§4.2)
+  kCiceroInNetwork = 4,      ///< kCicero, aggregated at a designated switch (P4BFT)
+  kCiceroDecentralized = 5,  ///< kCicero, switches sequence the chain in-band (ez-Segway)
 };
 
 const char* framework_name(FrameworkKind kind);
 
-/// How threshold-signed updates reach the data plane.  The controller-driven
-/// mode is the paper's shape: one southbound round trip per segment, the
-/// dependency tracker releasing each update when its predecessors ack.  The
-/// decentralized mode (ez-Segway-style) pushes the whole signed schedule to
-/// the switches up front as per-segment manifests; switches then coordinate
-/// in-band with signed SegmentDone signals and only the sink segment of each
-/// chain reports back, cutting controller messages per update and removing
-/// the per-segment controller round trip from the critical path.
-enum class ExecutionMode : std::uint8_t {
-  kControllerDriven = 0,  ///< controller releases one update per ack round trip
-  kDecentralized = 1,     ///< switches sequence the chain in-band (§ DESIGN.md 15)
-};
+/// Updates, acks and SegmentDone signals carry signatures and switches
+/// demand a controller quorum: every Cicero path.
+constexpr bool is_threshold_signed(FrameworkKind kind) {
+  return kind != FrameworkKind::kCentralized && kind != FrameworkKind::kCrashTolerant;
+}
 
-const char* execution_mode_name(ExecutionMode mode);
-
-/// Where threshold partials are combined into the aggregate signature.
-/// `kNone` keeps the framework's own shape (switch-side collection under
-/// `kCicero`, controller-side under `kCiceroAgg`).  `kInNetwork` is the
-/// P4BFT-style offload: one designated aggregator switch per control
-/// domain collects the replicas' partials, compares response digests
-/// (matching-digest quorum before aggregation, mismatches reported via
-/// the signed-event path), aggregates, and fans the single signed update
-/// out to the target switch — so each replica sends one small message
-/// per update instead of one full copy per participating switch.
-/// Only meaningful with `kCicero` + `kControllerDriven` (§ DESIGN.md 16).
-enum class AggregationMode : std::uint8_t {
-  kNone = 0,       ///< aggregate where the framework says (switch or controller)
-  kInNetwork = 1,  ///< designated aggregator switch per domain (P4BFT-style)
-};
-
-const char* aggregation_mode_name(AggregationMode mode);
+/// The baselines run one control plane spanning every topology domain
+/// (that is how the paper deploys them); Cicero paths get one per domain.
+constexpr bool uses_global_plane(FrameworkKind kind) { return !is_threshold_signed(kind); }
 
 /// One row of Table 2.
 struct Capabilities {

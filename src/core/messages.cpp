@@ -382,8 +382,7 @@ void serialize_peers(util::Writer& w, const std::vector<SegmentPeer>& peers) {
 
 std::vector<SegmentPeer> deserialize_peers(util::Reader& r) {
   const std::uint32_t n = r.u32();
-  std::vector<SegmentPeer> peers;
-  peers.reserve(n);
+  std::vector<SegmentPeer> peers;  // no reserve(n): the count is untrusted
   for (std::uint32_t i = 0; i < n; ++i) {
     SegmentPeer p;
     p.update_id = r.u64();

@@ -267,8 +267,7 @@ void SwitchRuntime::on_aggregator_notify(const AggregatorNotifyMsg& m) {
 
 void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   if (down_) return;
-  if (config_.aggregation == AggregationMode::kInNetwork &&
-      config_.framework == FrameworkKind::kCicero) {
+  if (config_.framework == FrameworkKind::kCiceroInNetwork) {
     // In-network mode the replicas only ever address the designated
     // aggregator, so every body copy arriving here is aggregation input.
     on_innet_body(from, m);
@@ -288,8 +287,7 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
                                  config_.node, obs::kTidMain);
   }
 
-  if (config_.framework == FrameworkKind::kCentralized ||
-      config_.framework == FrameworkKind::kCrashTolerant) {
+  if (!is_threshold_signed(config_.framework)) {
     // No quorum authentication: the first copy of the update is applied
     // as-is.  (This is the attack surface the Byzantine tests exploit.)
     note_applied(m.update.id);
@@ -428,7 +426,7 @@ void SwitchRuntime::on_innet_body(sim::NodeId from, const UpdateMsg& m) {
 
 void SwitchRuntime::on_partial_share(sim::NodeId from, const PartialShareMsg& m) {
   if (down_) return;
-  if (config_.aggregation != AggregationMode::kInNetwork) return;
+  if (config_.framework != FrameworkKind::kCiceroInNetwork) return;
   if (replay_innet(m.update_id, from)) return;
   if (applied_ids_.count(m.update_id) != 0) {
     re_ack(m.update_id, from);
@@ -651,15 +649,9 @@ void SwitchRuntime::on_manifest(sim::NodeId from, const ManifestMsg& m) {
                                  obs::kTidMain);
   }
 
-  if (config_.framework == FrameworkKind::kCentralized ||
-      config_.framework == FrameworkKind::kCrashTolerant) {
-    if (accepted_.count(id) == 0) accept_manifest(m.manifest);
-    return;
-  }
-
-  // Cicero: identical-manifest counting, bucketed by the signed bytes
-  // (which pin the segment's position in the chain, not just the rule).
-  if (m.partial.signer == 0) return;  // Cicero manifests must carry a partial
+  // Identical-manifest counting, bucketed by the signed bytes (which pin
+  // the segment's position in the chain, not just the rule).
+  if (m.partial.signer == 0) return;  // manifests must carry a partial
   const util::Bytes signing_bytes = manifest_signing_bytes(m.manifest, m.epoch);
   const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
   const util::Bytes digest(d.begin(), d.end());
@@ -739,8 +731,8 @@ void SwitchRuntime::accept_manifest(const SegmentManifest& manifest) {
   // Switch-local precondition (the decentralized analogue of the
   // controller-side consistency proof): an install whose next hop is this
   // switch itself would forward traffic into a one-hop loop.  A quorum of
-  // honest controllers never produces one, so this only fires on corrupted
-  // manifests that slipped past a first-copy baseline.
+  // honest controllers never produces one, so this is defence in depth
+  // against a corrupted manifest that somehow gathered a quorum.
   if (manifest.update.op == sched::UpdateOp::kInstall &&
       manifest.update.rule.next_hop == config_.topo_index) {
     ++updates_rejected_;
@@ -778,8 +770,8 @@ void SwitchRuntime::on_segment_done(const SegmentDoneMsg& d) {
   if (d.epoch < phase_) return;  // stale epoch
   phase_ = d.epoch;
   ++peer_signals_received_;
-  const bool verify = config_.framework == FrameworkKind::kCicero &&
-                      config_.real_crypto && config_.pki != nullptr;
+  const bool verify =
+      is_threshold_signed(config_.framework) && config_.real_crypto && config_.pki != nullptr;
   const sim::SimTime cost = verify ? config_.costs.ack_verify : sim::SimTime{0};
   cpu_.execute(cost, "segdone.verify", [this, verify, d] {
     if (down_) return;
@@ -815,12 +807,11 @@ void SwitchRuntime::signal_successors(sched::UpdateId id,
     done.done_update = id;
     done.switch_node = config_.topo_index;
     done.epoch = phase_;
-    const bool sign = config_.framework == FrameworkKind::kCicero && config_.real_crypto;
-    if (sign) {
+    const bool sign = is_threshold_signed(config_.framework);
+    if (sign && config_.real_crypto) {
       done.sig = crypto::schnorr_sign(config_.key, done.body()).to_bytes();
     }
-    const sim::SimTime cost =
-        config_.framework == FrameworkKind::kCicero ? config_.costs.ack_sign : sim::SimTime{0};
+    const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
     const sim::NodeId to = succ.node;
     cpu_.execute(cost, "segdone.sign", [this, to, resignal, done = std::move(done)] {
       if (down_) return;
@@ -879,8 +870,7 @@ void SwitchRuntime::send_ack(const sched::Update& update) {
   AckMsg ack;
   ack.update_id = update.id;
   ack.switch_node = config_.topo_index;
-  const bool sign = config_.framework == FrameworkKind::kCicero ||
-                    config_.framework == FrameworkKind::kCiceroAgg;
+  const bool sign = is_threshold_signed(config_.framework);
   if (sign && config_.real_crypto) {
     ack.sig = crypto::schnorr_sign(config_.key, ack.body()).to_bytes();
   }
@@ -901,8 +891,7 @@ void SwitchRuntime::re_ack(sched::UpdateId id, sim::NodeId to) {
   AckMsg ack;
   ack.update_id = id;
   ack.switch_node = config_.topo_index;
-  const bool sign = config_.framework == FrameworkKind::kCicero ||
-                    config_.framework == FrameworkKind::kCiceroAgg;
+  const bool sign = is_threshold_signed(config_.framework);
   if (sign && config_.real_crypto) {
     ack.sig = crypto::schnorr_sign(config_.key, ack.body()).to_bytes();
   }

@@ -37,15 +37,13 @@ class SwitchRuntime {
   struct Config {
     net::NodeIndex topo_index = net::kNoNode;  ///< identity in the topology
     sim::NodeId node = sim::kInvalidNode;      ///< network endpoint
+    /// Under kCiceroInNetwork (DESIGN.md §16) every switch can act as its
+    /// domain's designated aggregator — collecting replica bodies/partials,
+    /// comparing digests P4BFT-style and fanning the single aggregated
+    /// update out to the target switch.  Which switch actually receives
+    /// the replicas' traffic is pure routing, chosen (and re-chosen on
+    /// crash) by the Deployment.
     FrameworkKind framework = FrameworkKind::kCicero;
-    ExecutionMode execution_mode = ExecutionMode::kControllerDriven;
-    /// In-network aggregation (DESIGN.md §16): when kInNetwork, every
-    /// switch can act as its domain's designated aggregator — collecting
-    /// replica bodies/partials, comparing digests P4BFT-style and fanning
-    /// the single aggregated update out to the target switch.  Which
-    /// switch actually receives the replicas' traffic is pure routing,
-    /// chosen (and re-chosen on crash) by the Deployment.
-    AggregationMode aggregation = AggregationMode::kNone;
     /// Peer public keys for SegmentDone verification (decentralized mode);
     /// owned by the Deployment, outlives every switch.
     const PkiDirectory* pki = nullptr;

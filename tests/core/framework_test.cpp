@@ -10,6 +10,8 @@ TEST(Framework, Names) {
   EXPECT_STREQ(framework_name(FrameworkKind::kCrashTolerant), "Crash Tolerant");
   EXPECT_STREQ(framework_name(FrameworkKind::kCicero), "Cicero");
   EXPECT_STREQ(framework_name(FrameworkKind::kCiceroAgg), "Cicero Agg");
+  EXPECT_STREQ(framework_name(FrameworkKind::kCiceroInNetwork), "Cicero In-Network");
+  EXPECT_STREQ(framework_name(FrameworkKind::kCiceroDecentralized), "Cicero Decentralized");
 }
 
 TEST(Framework, Table2HasCiceroRowWithAllCapabilities) {

@@ -331,10 +331,7 @@ class DecentralizedSwitchTest : public SwitchRuntimeTest {
     peer_key_ = crypto::SchnorrKeyPair::generate(*drbg_);
     pki_.register_origin(7, switch_pk_);
     pki_.register_origin(8, peer_key_.pk);
-    rebuild([this](SwitchRuntime::Config& cfg) {
-      cfg.execution_mode = ExecutionMode::kDecentralized;
-      cfg.pki = &pki_;
-    });
+    rebuild([this](SwitchRuntime::Config& cfg) { cfg.pki = &pki_; });
   }
 
   SegmentManifest make_manifest(sched::UpdateId id, std::vector<SegmentPeer> preds,

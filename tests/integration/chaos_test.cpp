@@ -201,8 +201,7 @@ TEST(ChaosInNetwork, AggregatorCrashMidAggregationUnderLoss) {
   // bodies, and every flow must still complete with every tracker
   // drained.
   core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCicero;
-  dp.aggregation = core::AggregationMode::kInNetwork;
+  dp.framework = FrameworkKind::kCiceroInNetwork;
   dp.seed = 12345;
   auto dep = std::make_unique<core::Deployment>(net::build_pod(small_pod()), dp);
   dep->faults().set_uniform_loss(0.10);
@@ -225,8 +224,7 @@ TEST(ChaosInNetwork, AggregatorCrashRunIsBitIdentical) {
   // agree bit-for-bit.
   auto run = [] {
     core::DeploymentParams dp;
-    dp.framework = FrameworkKind::kCicero;
-    dp.aggregation = core::AggregationMode::kInNetwork;
+    dp.framework = FrameworkKind::kCiceroInNetwork;
     dp.seed = 777;
     auto dep = std::make_unique<core::Deployment>(net::build_pod(small_pod()), dp);
     dep->faults().set_uniform_loss(0.10);

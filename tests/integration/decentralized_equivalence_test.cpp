@@ -19,15 +19,13 @@
 namespace cicero {
 namespace {
 
-using core::ExecutionMode;
 using core::FrameworkKind;
 using testing::completed_count;
 
-std::unique_ptr<core::Deployment> make_dep(ExecutionMode mode, std::uint64_t seed,
+std::unique_ptr<core::Deployment> make_dep(FrameworkKind fw, std::uint64_t seed,
                                            std::uint32_t threads, bool multi_domain = true) {
   core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCicero;
-  dp.execution_mode = mode;
+  dp.framework = fw;
   dp.real_crypto = false;  // cost-model mode: these runs stress outcomes, not crypto
   dp.seed = seed;
   dp.threads = threads;
@@ -50,8 +48,8 @@ TEST(DecentralizedEquivalence, SameCompletionSetsUnderLossAcrossSeeds) {
   // send orders differ), but both must recover every flow — identical
   // completion sets, nothing stranded, for every seed.
   for (const std::uint64_t seed : {7ull, 21ull, 99ull}) {
-    const auto run_mode = [seed](ExecutionMode mode) {
-      auto dep = make_dep(mode, seed, /*threads=*/4);
+    const auto run_mode = [seed](FrameworkKind fw) {
+      auto dep = make_dep(fw, seed, /*threads=*/4);
       dep->faults().set_uniform_loss(0.10);
       const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, seed);
       dep->inject(flows);
@@ -60,8 +58,8 @@ TEST(DecentralizedEquivalence, SameCompletionSetsUnderLossAcrossSeeds) {
       EXPECT_EQ(dep->pending_updates(), 0u) << "seed " << seed;
       return completed_set(*dep);
     };
-    const auto driven = run_mode(ExecutionMode::kControllerDriven);
-    const auto dec = run_mode(ExecutionMode::kDecentralized);
+    const auto driven = run_mode(FrameworkKind::kCicero);
+    const auto dec = run_mode(FrameworkKind::kCiceroDecentralized);
     EXPECT_FALSE(driven.empty()) << "seed " << seed;
     EXPECT_EQ(driven, dec) << "seed " << seed;
   }
@@ -78,7 +76,7 @@ TEST(DecentralizedEquivalence, EveryApplyStepIsInvariantCleanUnderLoss) {
   // the same intermediate-state consistency the controller-driven
   // scheduler guarantees.
   auto dep =
-      make_dep(ExecutionMode::kDecentralized, 12345, /*threads=*/1, /*multi_domain=*/false);
+      make_dep(FrameworkKind::kCiceroDecentralized, 12345, /*threads=*/1, /*multi_domain=*/false);
   dep->faults().set_uniform_loss(0.10);
   const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, 7);
   std::set<std::pair<net::NodeIndex, net::NodeIndex>> pairs;
@@ -115,7 +113,7 @@ TEST(DecentralizedEquivalence, RerunIsBitIdentical) {
   // A decentralized parallel run is a pure function of its seeds: same
   // per-flow timestamps, same message/drop counts, run to run.
   const auto run_once = [] {
-    auto dep = make_dep(ExecutionMode::kDecentralized, 777, /*threads=*/4);
+    auto dep = make_dep(FrameworkKind::kCiceroDecentralized, 777, /*threads=*/4);
     dep->faults().set_uniform_loss(0.05);
     const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, 7);
     dep->inject(flows);

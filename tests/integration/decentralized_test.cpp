@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 
 #include "integration/helpers.hpp"
 #include "net/checker.hpp"
@@ -21,20 +20,15 @@
 namespace cicero {
 namespace {
 
-using core::ExecutionMode;
 using core::FrameworkKind;
 using testing::completed_count;
 using testing::small_pod;
 using testing::small_workload;
 
-std::unique_ptr<core::Deployment> make_dep(FrameworkKind fw, ExecutionMode mode,
-                                           std::uint64_t seed = 12345,
-                                           bool real_crypto = true) {
+std::unique_ptr<core::Deployment> make_dep(FrameworkKind fw) {
   core::DeploymentParams dp;
   dp.framework = fw;
-  dp.execution_mode = mode;
-  dp.real_crypto = real_crypto;
-  dp.seed = seed;
+  dp.seed = 12345;
   return std::make_unique<core::Deployment>(net::build_pod(small_pod()), dp);
 }
 
@@ -63,7 +57,7 @@ std::uint64_t peer_signals(core::Deployment& dep) {
 }
 
 TEST(Decentralized, CompletesAllFlowsWithRealCrypto) {
-  auto dep = make_dep(FrameworkKind::kCicero, ExecutionMode::kDecentralized);
+  auto dep = make_dep(FrameworkKind::kCiceroDecentralized);
   const auto flows = small_workload(dep->topology(), 25);
   dep->inject(flows);
   dep->run(sim::seconds(60));
@@ -81,8 +75,8 @@ TEST(Decentralized, FewerControllerMessagesPerUpdateThanControllerDriven) {
   // manifest send per segment plus a single sink ack for the chain.
   // Same workload, same seed — compare the control plane's message
   // counts per applied update.
-  const auto run_mode = [](ExecutionMode mode) {
-    auto dep = make_dep(FrameworkKind::kCicero, mode);
+  const auto run_mode = [](FrameworkKind fw) {
+    auto dep = make_dep(fw);
     const auto flows = small_workload(dep->topology(), 25);
     dep->inject(flows);
     dep->run(sim::seconds(60));
@@ -94,8 +88,8 @@ TEST(Decentralized, FewerControllerMessagesPerUpdateThanControllerDriven) {
     const CtrlStats s = ctrl_stats(*dep);
     return std::make_pair(s.updates_sent + s.manifests_sent + s.acks_received, applied);
   };
-  const auto [driven_msgs, driven_applied] = run_mode(ExecutionMode::kControllerDriven);
-  const auto [dec_msgs, dec_applied] = run_mode(ExecutionMode::kDecentralized);
+  const auto [driven_msgs, driven_applied] = run_mode(FrameworkKind::kCicero);
+  const auto [dec_msgs, dec_applied] = run_mode(FrameworkKind::kCiceroDecentralized);
   ASSERT_GT(driven_applied, 0u);
   ASSERT_GT(dec_applied, 0u);
   const double driven_per_update =
@@ -105,25 +99,11 @@ TEST(Decentralized, FewerControllerMessagesPerUpdateThanControllerDriven) {
   EXPECT_LT(dec_per_update, driven_per_update);
 }
 
-TEST(Decentralized, FirstCopyBaselinesAlsoComplete) {
-  // The baselines accept the first manifest copy (no quorum), mirroring
-  // their first-copy update handling; the in-band sequencing still works.
-  for (const auto fw : {FrameworkKind::kCentralized, FrameworkKind::kCrashTolerant}) {
-    auto dep = make_dep(fw, ExecutionMode::kDecentralized, 12345, /*real_crypto=*/false);
-    const auto flows = small_workload(dep->topology(), 20);
-    dep->inject(flows);
-    dep->run(sim::seconds(60));
-    EXPECT_EQ(completed_count(*dep), flows.size())
-        << core::framework_name(fw);
-    EXPECT_EQ(dep->pending_updates(), 0u) << core::framework_name(fw);
-  }
-}
-
 TEST(Decentralized, UniformLossRecoversThroughResignaling) {
   // 10% loss eats manifests, SegmentDones and sink acks alike.  The
   // controller's chain-wide manifest retransmission plus the switches'
   // idempotent re-signaling must still land every flow.
-  auto dep = make_dep(FrameworkKind::kCicero, ExecutionMode::kDecentralized);
+  auto dep = make_dep(FrameworkKind::kCiceroDecentralized);
   dep->faults().set_uniform_loss(0.10);
   const auto flows = small_workload(dep->topology(), 20);
   dep->inject(flows);
@@ -137,7 +117,7 @@ TEST(Decentralized, SwitchCrashDuringHandoffRecovers) {
   // blocked on it are eventually abandoned by the controller, and the
   // recovered switch re-requests its routes through the signed-event
   // path — every flow still completes.
-  auto dep = make_dep(FrameworkKind::kCicero, ExecutionMode::kDecentralized);
+  auto dep = make_dep(FrameworkKind::kCiceroDecentralized);
   const auto flows = small_workload(dep->topology(), 20);
   const net::NodeIndex victim = dep->topology().host_tor(flows.front().src_host);
   dep->simulator().at(sim::seconds(2), [&dep, victim] { dep->crash_switch(victim); });
@@ -153,7 +133,7 @@ TEST(Decentralized, MutatedManifestNeverReachesATable) {
   // One controller corrupts every manifest body it signs.  Its copies
   // bucket separately from the honest quorum's, so no corrupted rule can
   // ever aggregate — and the final tables route every flow cleanly.
-  auto dep = make_dep(FrameworkKind::kCicero, ExecutionMode::kDecentralized);
+  auto dep = make_dep(FrameworkKind::kCiceroDecentralized);
   dep->set_controller_fault(dep->controller_ids().front(),
                             core::ControllerFault::kMutateUpdates);
   const auto flows = small_workload(dep->topology(), 20);
@@ -166,14 +146,6 @@ TEST(Decentralized, MutatedManifestNeverReachesATable) {
     EXPECT_NE(trace.status, net::TraceStatus::kLoop);
     EXPECT_NE(trace.status, net::TraceStatus::kBlackHole);
   }
-}
-
-TEST(Decentralized, RejectedWithControllerAggregation) {
-  core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCiceroAgg;
-  dp.execution_mode = ExecutionMode::kDecentralized;
-  dp.real_crypto = false;
-  EXPECT_THROW(core::Deployment(net::build_pod(small_pod()), dp), std::invalid_argument);
 }
 
 }  // namespace

@@ -24,10 +24,9 @@ using core::FrameworkKind;
 
 std::unique_ptr<Deployment> seeded_deployment(
     net::Topology topo, std::uint64_t seed,
-    core::AggregationMode agg = core::AggregationMode::kNone) {
+    FrameworkKind framework = FrameworkKind::kCicero) {
   DeploymentParams dp;
-  dp.framework = FrameworkKind::kCicero;
-  dp.aggregation = agg;
+  dp.framework = framework;
   dp.controllers_per_domain = 4;
   dp.real_crypto = false;
   dp.seed = seed;
@@ -70,7 +69,7 @@ std::string run_scale(std::uint64_t seed) {
 /// replay all draw from the seeded streams.
 std::string run_innet(std::uint64_t seed) {
   auto dep = seeded_deployment(net::build_pod(testing::small_pod()), seed,
-                               core::AggregationMode::kInNetwork);
+                               FrameworkKind::kCiceroInNetwork);
   dep->faults().set_uniform_loss(0.10);
   const auto flows = testing::small_workload(dep->topology(), 10);
   dep->inject(flows);

@@ -25,10 +25,16 @@ std::unique_ptr<core::Deployment> frost_deployment(bool real_crypto = true) {
 }
 
 TEST(FrostBackend, RequiresControllerAggregation) {
-  core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCicero;  // switch aggregation: invalid
-  dp.backend = ThresholdBackend::kFrost;
-  EXPECT_THROW(core::Deployment(net::build_pod(small_pod()), dp), std::invalid_argument);
+  // Only kCiceroAgg has a controller to coordinate FROST's signing session.
+  for (const auto fw : {FrameworkKind::kCentralized, FrameworkKind::kCrashTolerant,
+                        FrameworkKind::kCicero, FrameworkKind::kCiceroInNetwork,
+                        FrameworkKind::kCiceroDecentralized}) {
+    core::DeploymentParams dp;
+    dp.framework = fw;
+    dp.backend = ThresholdBackend::kFrost;
+    EXPECT_THROW(core::Deployment(net::build_pod(small_pod()), dp), std::invalid_argument)
+        << core::framework_name(fw);
+  }
 }
 
 TEST(FrostBackend, FlowsCompleteWithRealSignatures) {

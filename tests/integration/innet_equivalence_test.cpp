@@ -1,5 +1,5 @@
 // In-network-aggregation equivalence: for every seed, under loss, on
-// the sharded parallel engine (threads=4), the kInNetwork offload must
+// the sharded parallel engine (threads=4), the kCiceroInNetwork offload must
 // land the exact same set of completed flows as plain kCicero with
 // fully drained trackers, and an in-network run must be bit-identical
 // to its own rerun — the aggregator fast path, escalation and failover
@@ -18,15 +18,13 @@
 namespace cicero {
 namespace {
 
-using core::AggregationMode;
 using core::FrameworkKind;
 using testing::completed_count;
 
-std::unique_ptr<core::Deployment> make_dep(AggregationMode agg, std::uint64_t seed,
+std::unique_ptr<core::Deployment> make_dep(FrameworkKind fw, std::uint64_t seed,
                                            std::uint32_t threads) {
   core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCicero;
-  dp.aggregation = agg;
+  dp.framework = fw;
   dp.real_crypto = false;  // cost-model mode: these runs stress outcomes, not crypto
   dp.seed = seed;
   dp.threads = threads;
@@ -50,8 +48,8 @@ TEST(InNetworkEquivalence, SameCompletionSetsUnderLossAcrossSeeds) {
   // every flow — identical completion sets, nothing stranded, for every
   // seed.  Each domain shard runs its own designated aggregator.
   for (const std::uint64_t seed : {7ull, 21ull, 99ull}) {
-    const auto run_mode = [seed](AggregationMode agg) {
-      auto dep = make_dep(agg, seed, /*threads=*/4);
+    const auto run_mode = [seed](FrameworkKind fw) {
+      auto dep = make_dep(fw, seed, /*threads=*/4);
       dep->faults().set_uniform_loss(0.10);
       const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, seed);
       dep->inject(flows);
@@ -60,8 +58,8 @@ TEST(InNetworkEquivalence, SameCompletionSetsUnderLossAcrossSeeds) {
       EXPECT_EQ(dep->pending_updates(), 0u) << "seed " << seed;
       return completed_set(*dep);
     };
-    const auto baseline = run_mode(AggregationMode::kNone);
-    const auto innet = run_mode(AggregationMode::kInNetwork);
+    const auto baseline = run_mode(FrameworkKind::kCicero);
+    const auto innet = run_mode(FrameworkKind::kCiceroInNetwork);
     EXPECT_FALSE(baseline.empty()) << "seed " << seed;
     EXPECT_EQ(baseline, innet) << "seed " << seed;
   }
@@ -71,7 +69,7 @@ TEST(InNetworkEquivalence, RerunIsBitIdentical) {
   // An in-network parallel run is a pure function of its seeds: same
   // per-flow timestamps, same message/drop/fan-out counts, run to run.
   const auto run_once = [] {
-    auto dep = make_dep(AggregationMode::kInNetwork, 777, /*threads=*/4);
+    auto dep = make_dep(FrameworkKind::kCiceroInNetwork, 777, /*threads=*/4);
     dep->faults().set_uniform_loss(0.05);
     const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, 7);
     dep->inject(flows);
@@ -97,7 +95,7 @@ TEST(InNetworkEquivalence, ThreadsDoNotChangeTheOutcome) {
   // run must complete the same flow set (domain-sharded aggregators
   // included) with drained trackers.
   const auto run_threads = [](std::uint32_t threads) {
-    auto dep = make_dep(AggregationMode::kInNetwork, 4242, threads);
+    auto dep = make_dep(FrameworkKind::kCiceroInNetwork, 4242, threads);
     const auto flows = workload::scale_flows(dep->topology(), 30, /*rate=*/300.0, 11);
     dep->inject(flows);
     dep->run(sim::seconds(120));

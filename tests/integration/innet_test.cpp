@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "integration/helpers.hpp"
@@ -24,21 +23,17 @@
 namespace cicero {
 namespace {
 
-using core::AggregationMode;
-using core::ExecutionMode;
 using core::FrameworkKind;
-using core::ThresholdBackend;
 using testing::completed_count;
 using testing::small_pod;
 using testing::small_workload;
 
-std::unique_ptr<core::Deployment> make_dep(AggregationMode agg,
+std::unique_ptr<core::Deployment> make_dep(FrameworkKind fw,
                                            std::size_t controllers = 4,
                                            bool real_crypto = true,
                                            std::uint64_t seed = 12345) {
   core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCicero;
-  dp.aggregation = agg;
+  dp.framework = fw;
   dp.controllers_per_domain = controllers;
   dp.real_crypto = real_crypto;
   dp.seed = seed;
@@ -70,7 +65,7 @@ std::uint64_t total_southbound(core::Deployment& dep) {
 }
 
 TEST(InNetwork, CompletesAllFlowsWithRealCrypto) {
-  auto dep = make_dep(AggregationMode::kInNetwork);
+  auto dep = make_dep(FrameworkKind::kCiceroInNetwork);
   const auto flows = small_workload(dep->topology(), 25);
   dep->inject(flows);
   dep->run(sim::seconds(60));
@@ -90,8 +85,8 @@ TEST(InNetwork, SouthboundBytesUnderThirdOfBaselineAtNTen) {
   // of the baseline's bytes per applied update.  Rank 0 sends the one
   // full body, ranks 1..t-1 (t=4) compact digest shares, ranks >= t stay
   // silent — versus ten full copies under plain kCicero.
-  const auto run_mode = [](AggregationMode agg) {
-    auto dep = make_dep(agg, /*controllers=*/10, /*real_crypto=*/false);
+  const auto run_mode = [](FrameworkKind fw) {
+    auto dep = make_dep(fw, /*controllers=*/10, /*real_crypto=*/false);
     const auto flows = small_workload(dep->topology(), 25);
     dep->inject(flows);
     dep->run(sim::seconds(60));
@@ -101,8 +96,8 @@ TEST(InNetwork, SouthboundBytesUnderThirdOfBaselineAtNTen) {
     return static_cast<double>(total_southbound(*dep)) /
            static_cast<double>(applied);
   };
-  const double baseline = run_mode(AggregationMode::kNone);
-  const double innet = run_mode(AggregationMode::kInNetwork);
+  const double baseline = run_mode(FrameworkKind::kCicero);
+  const double innet = run_mode(FrameworkKind::kCiceroInNetwork);
   EXPECT_LE(innet, baseline / 3.0)
       << "innet bytes/update " << innet << " vs baseline " << baseline;
 }
@@ -113,7 +108,7 @@ TEST(InNetwork, UniformLossEscalatesToFullBodiesAndCompletes) {
   // compact digest share is only the optimistic fast path), and the
   // aggregator replays its cached fan-out for completed updates — every
   // flow still lands.
-  auto dep = make_dep(AggregationMode::kInNetwork);
+  auto dep = make_dep(FrameworkKind::kCiceroInNetwork);
   dep->faults().set_uniform_loss(0.10);
   const auto flows = small_workload(dep->topology(), 20);
   dep->inject(flows);
@@ -128,7 +123,7 @@ TEST(InNetwork, MutatedUpdateRaisesMismatchAndStillCompletes) {
   // aggregator reports the conflict through the signed-event path (every
   // controller counts it) and the honest quorum's escalated full bodies
   // still aggregate — no corrupted rule reaches a table, no flow hangs.
-  auto dep = make_dep(AggregationMode::kInNetwork);
+  auto dep = make_dep(FrameworkKind::kCiceroInNetwork);
   dep->set_controller_fault(dep->controller_ids().front(),
                             core::ControllerFault::kMutateUpdates);
   const auto flows = small_workload(dep->topology(), 15);
@@ -148,7 +143,7 @@ TEST(InNetwork, MutatedUpdateRaisesMismatchAndStillCompletes) {
 }
 
 TEST(InNetwork, AggregatorCrashFailsOverToNextLowestIndex) {
-  auto dep = make_dep(AggregationMode::kInNetwork);
+  auto dep = make_dep(FrameworkKind::kCiceroInNetwork);
   const net::NodeIndex first = dep->innet_aggregator_switch(0);
   ASSERT_NE(first, net::kNoNode);
   EXPECT_EQ(first, dep->topology().switches_in_domain(0).front());
@@ -166,7 +161,7 @@ TEST(InNetwork, FlowsCompleteAcrossAggregatorFailover) {
   // Crash the designated aggregator while updates are in flight and
   // leave it down: replicas re-point at the next designation and their
   // ack timers escalate anything stranded at the dead switch.
-  auto dep = make_dep(AggregationMode::kInNetwork);
+  auto dep = make_dep(FrameworkKind::kCiceroInNetwork);
   const net::NodeIndex agg = dep->innet_aggregator_switch(0);
   // Flows arrive over ~130ms; crash mid-arrival so the tail of the
   // workload must run through the replacement designation.
@@ -181,34 +176,6 @@ TEST(InNetwork, FlowsCompleteAcrossAggregatorFailover) {
   // The replacement switch really took over the aggregator role.
   const net::NodeIndex next = dep->topology().switches_in_domain(0)[1];
   EXPECT_GT(dep->switch_at(next).agg_fanouts(), 0u);
-}
-
-TEST(InNetwork, RejectedOutsideItsValidCorner) {
-  // kInNetwork extends kCicero's controller-driven SimBLS path only;
-  // every other combination is a configuration error, not a silent
-  // fallback.
-  const auto expect_throw = [](auto mutate) {
-    core::DeploymentParams dp;
-    dp.framework = FrameworkKind::kCicero;
-    dp.aggregation = AggregationMode::kInNetwork;
-    dp.real_crypto = false;
-    mutate(dp);
-    EXPECT_THROW(core::Deployment(net::build_pod(small_pod()), dp),
-                 std::invalid_argument);
-  };
-  expect_throw([](core::DeploymentParams& dp) {
-    dp.framework = FrameworkKind::kCentralized;
-  });
-  expect_throw([](core::DeploymentParams& dp) {
-    dp.framework = FrameworkKind::kCiceroAgg;
-  });
-  expect_throw([](core::DeploymentParams& dp) {
-    dp.execution_mode = ExecutionMode::kDecentralized;
-  });
-  expect_throw([](core::DeploymentParams& dp) {
-    dp.framework = FrameworkKind::kCiceroAgg;  // FROST needs kCiceroAgg...
-    dp.backend = ThresholdBackend::kFrost;     // ...but innet needs kCicero
-  });
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ every section of ``cicero-run-report/v1``::
     shard:<slug>.<shard>.events|windows engine utilization counters
 
 Wall-clock-derived metrics (``wall_sec``, ``*_per_sec``, ``peak_rss``,
-``barrier_wait``, micro speedups) are machine noise and always skipped:
+``barrier_wait``, speedups) are machine noise and always skipped:
 the gate compares *simulated* behaviour, which is deterministic.
 
 Thresholds come from a JSON file (default: ``thresholds.json`` next to
