@@ -24,7 +24,43 @@ void BM_Sha256_1k(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1k);
 
+/// The secp256k1 base field, built the same way the group layer builds it.
+const MontgomeryCtx& base_field() {
+  static const MontgomeryCtx fp(
+      U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"));
+  return fp;
+}
+
+void BM_FpMul(benchmark::State& state) {
+  // One Montgomery multiply on Montgomery-form operands: the unit every
+  // point operation is built from.
+  const auto& fp = base_field();
+  Drbg d(1);
+  const U256 b = fp.to_mont(fp.reduce(d.next_scalar().raw()));
+  U256 acc = fp.to_mont(fp.reduce(d.next_scalar().raw()));
+  for (auto _ : state) {
+    acc = fp.mul(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FpMul);
+
+void BM_FpInv(benchmark::State& state) {
+  // One Fermat inversion (windowed pow by p - 2): what a Jacobian point
+  // costs when it is serialized.
+  const auto& fp = base_field();
+  Drbg d(2);
+  U256 acc = fp.to_mont(fp.reduce(d.next_scalar().raw()));
+  for (auto _ : state) {
+    acc = fp.inv(acc);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FpInv);
+
 void BM_FieldMul(benchmark::State& state) {
+  // Despite the name, a *scalar* (mod n) multiply on plain operands, which
+  // is two Montgomery multiplies.  BM_FpMul times one base-field multiply.
   Drbg d(1);
   const Scalar a = d.next_scalar(), b = d.next_scalar();
   Scalar acc = a;

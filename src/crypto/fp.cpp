@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "crypto/ct.hpp"
+#include "obs/metrics.hpp"
 
 namespace cicero::crypto {
 
@@ -15,6 +16,23 @@ std::uint64_t neg_inv64(std::uint64_t m) {
   std::uint64_t inv = m;  // correct mod 2^3
   for (int i = 0; i < 5; ++i) inv *= 2 - m * inv;  // doubles precision each step
   return ~inv + 1;  // -inv mod 2^64
+}
+
+/// Returns the low word of a + b * c + carry and leaves the high word in
+/// `carry`.  The sum is at most 2^128 - 1, so it never overflows.
+inline std::uint64_t mac(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                         std::uint64_t& carry) {
+  const u128 t = static_cast<u128>(b) * c + a + carry;
+  carry = static_cast<std::uint64_t>(t >> 64);
+  return static_cast<std::uint64_t>(t);
+}
+
+/// Returns the low word of a + b + carry (carry in {0, 1}) and leaves the
+/// carry out in `carry`.
+inline std::uint64_t adc(std::uint64_t a, std::uint64_t b, std::uint64_t& carry) {
+  const u128 t = static_cast<u128>(a) + b + carry;
+  carry = static_cast<std::uint64_t>(t >> 64);
+  return static_cast<std::uint64_t>(t);
 }
 }  // namespace
 
@@ -42,48 +60,34 @@ MontgomeryCtx::MontgomeryCtx(const U256& modulus) : m_(modulus) {
   r2_ = x;
 }
 
-U256 MontgomeryCtx::redc(const U512& t) const {
-  // Standard word-by-word Montgomery reduction (CIOS-style on a materialized
-  // 512-bit input).
-  std::uint64_t tw[9];
-  for (int i = 0; i < 8; ++i) tw[i] = t.w[i];
-  tw[8] = 0;
-
-  for (int i = 0; i < 4; ++i) {
-    const std::uint64_t u = tw[i] * n0inv_;
-    u128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      u128 cur = static_cast<u128>(u) * m_.w[j] + tw[i + j] + carry;
-      tw[i + j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    for (int j = i + 4; j < 9 && carry != 0; ++j) {
-      u128 cur = static_cast<u128>(tw[j]) + carry;
-      tw[j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-  }
-
-  // value = tw[8]*2^256 + tw[7..4] < 2m for every caller (all feed t < m*R),
-  // so at most one subtraction of m is needed.  Do it branch-free: compute
-  // r - m unconditionally and select on (hi | r >= m).  A second conditional
-  // round is kept as defense in depth; with value < 2m it is always a no-op.
-  const std::uint64_t hi = tw[8];
-  U256 r{tw[4], tw[5], tw[6], tw[7]};
+U256 MontgomeryCtx::final_sub(std::uint64_t hi, const U256& r) const {
+  // With hi * 2^256 + r < 2m at most one subtraction of m is needed, and
+  // when hi == 1 the wrapped 256-bit difference is exact.  Branch-free:
+  // compute r - m unconditionally and select on (hi | r >= m).
   U256 s = r;
   const std::uint64_t borrow = s.sub_assign(m_);
-  U256::cmov(r, s, ct::mask_nonzero(hi | (borrow ^ 1)));
-  s = r;
-  const std::uint64_t borrow2 = s.sub_assign(m_);
-  U256::cmov(r, s, ct::mask_zero(borrow2));
-  return r;
+  return U256::ct_select(ct::mask_nonzero(hi | (borrow ^ 1)), s, r);
 }
 
-U256 MontgomeryCtx::to_mont(const U256& a) const { return redc(mul_wide(a, r2_)); }
+U256 MontgomeryCtx::redc(std::uint64_t (&t)[8]) const {
+  // Word-by-word Montgomery reduction: each round adds u * m so the low
+  // word cancels.  The carry out of the round's top word is deferred to
+  // the next round's top word instead of rippled, so no loop bound or
+  // branch depends on the data.  t < m * R keeps the result below 2m.
+  std::uint64_t hi = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::uint64_t u = t[i] * n0inv_;
+    std::uint64_t c = 0;
+    for (int j = 0; j < 4; ++j) t[i + j] = mac(t[i + j], u, m_.w[j], c);
+    t[i + 4] = adc(t[i + 4], c, hi);
+  }
+  return final_sub(hi, U256{t[4], t[5], t[6], t[7]});
+}
+
+U256 MontgomeryCtx::to_mont(const U256& a) const { return mul(a, r2_); }
 
 U256 MontgomeryCtx::from_mont(const U256& a) const {
-  U512 t;
-  for (int i = 0; i < 4; ++i) t.w[i] = a.w[i];
+  std::uint64_t t[8] = {a.w[0], a.w[1], a.w[2], a.w[3], 0, 0, 0, 0};
   return redc(t);
 }
 
@@ -116,24 +120,73 @@ U256 MontgomeryCtx::neg(const U256& a) const {
   return r;
 }
 
-U256 MontgomeryCtx::mul(const U256& a, const U256& b) const { return redc(mul_wide(a, b)); }
+U256 MontgomeryCtx::mul(const U256& a, const U256& b) const {
+  // CIOS: interleave one row of a * b[i] with one reduction round, so the
+  // accumulator never exceeds five words.  Between rounds
+  // t = (a * b[0..i] + q[0..i] * m) / 2^(64(i+1)) < R + m, so t[4] <= 1.
+  std::uint64_t t[5] = {0, 0, 0, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    std::uint64_t c = 0;
+    for (int j = 0; j < 4; ++j) t[j] = mac(t[j], a.w[j], b.w[i], c);
+    std::uint64_t t5 = 0;
+    t[4] = adc(t[4], c, t5);
+    const std::uint64_t u = t[0] * n0inv_;
+    c = 0;
+    mac(t[0], u, m_.w[0], c);  // low word cancels by choice of u
+    for (int j = 1; j < 4; ++j) t[j - 1] = mac(t[j], u, m_.w[j], c);
+    std::uint64_t k = 0;
+    t[3] = adc(t[4], c, k);
+    t[4] = t5 + k;
+  }
+  return final_sub(t[4], U256{t[0], t[1], t[2], t[3]});
+}
+
+U256 MontgomeryCtx::sqr(const U256& a) const {
+  // Cross products a_i * a_j (i < j) once each, doubled by a one-bit
+  // shift, plus the diagonal squares: 10 word multiplies instead of 16,
+  // then the same REDC as from_mont.  a < m gives a^2 < m * R.
+  std::uint64_t t[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (int i = 0; i < 3; ++i) {
+    std::uint64_t c = 0;
+    for (int j = i + 1; j < 4; ++j) t[i + j] = mac(t[i + j], a.w[i], a.w[j], c);
+    t[i + 4] = c;
+  }
+  std::uint64_t c = 0;
+  for (int k = 1; k < 8; ++k) t[k] = adc(t[k], t[k], c);
+  for (int i = 0; i < 4; ++i) {
+    std::uint64_t hi = 0;
+    const std::uint64_t lo = mac(0, a.w[i], a.w[i], hi);
+    t[2 * i] = adc(t[2 * i], lo, c);
+    t[2 * i + 1] = adc(t[2 * i + 1], hi, c);
+  }
+  return redc(t);
+}
 
 U256 MontgomeryCtx::pow(const U256& a, const U256& e) const {
-  // Square-and-multiply with a branch per exponent bit.  Only safe for
-  // PUBLIC exponents; the sole in-repo callers use e = m - 2 (inversion),
-  // which is a curve constant.  ct-lint bans new secret-exponent uses.
-  U256 result = one_mont_;
-  U256 base = a;
-  const unsigned bits = e.bit_length();
-  for (unsigned i = 0; i < bits; ++i) {
-    if (e.bit(i)) result = mul(result, base);
-    base = sqr(base);
+  // Fixed 4-bit window, most significant digit first: 4 squarings per
+  // digit plus one table multiply per nonzero digit, ~330 multiplies for
+  // a 256-bit exponent.  The digit skip and the table index follow `e`,
+  // which is public; `a` only meets mul/sqr.
+  const unsigned digits = (e.bit_length() + 3) / 4;
+  if (digits == 0) return one_mont_;
+  U256 table[16];
+  table[0] = one_mont_;
+  table[1] = a;
+  for (int i = 2; i < 16; ++i) table[i] = mul(table[i - 1], a);
+  const auto digit = [&e](unsigned w) {
+    return static_cast<unsigned>(e.w[w / 16] >> ((w % 16) * 4)) & 15u;
+  };
+  U256 result = table[digit(digits - 1)];
+  for (unsigned w = digits - 1; w-- > 0;) {
+    for (int s = 0; s < 4; ++s) result = sqr(result);
+    if (const unsigned d = digit(w); d != 0) result = mul(result, table[d]);
   }
   return result;
 }
 
 U256 MontgomeryCtx::inv(const U256& a) const {
   if (a.is_zero()) throw std::domain_error("MontgomeryCtx::inv: zero has no inverse");
+  ++obs::crypto_ops().field_inv;
   U256 e = m_;
   e.sub_assign(U256(2));  // m - 2
   return pow(a, e);
@@ -176,26 +229,15 @@ U256 MontgomeryCtx::reduce(const U256& a) const {
 }
 
 U256 MontgomeryCtx::reduce_wide(const U512& a) const {
-  // Binary (shift-and-subtract) reduction, correct for any odd modulus.
-  // 512 iterations of limb ops; used on cold paths (hash-to-field) but also
-  // on secret inputs (wide nonce/key derivation), so every per-bit decision
-  // is branch-free: the bit is *added* (0 or 1) rather than tested, and
-  // residue corrections go through cond_sub-style cmovs.
-  U256 r;
-  for (int i = 511; i >= 0; --i) {
-    const std::uint64_t carry = r.add_assign(r);  // r <<= 1
-    // After doubling, true value is carry*2^256 + r < 2m, so at most one
-    // subtraction is needed and the wrapped subtraction is exact.
-    U256 t = r;
-    std::uint64_t borrow = t.sub_assign(m_);
-    U256::cmov(r, t, ct::mask_nonzero(carry | (borrow ^ 1)));
-    const std::uint64_t bit = (a.w[i / 64] >> (i % 64)) & 1;
-    const std::uint64_t c2 = r.add_assign(U256(bit));
-    t = r;
-    borrow = t.sub_assign(m_);
-    U256::cmov(r, t, ct::mask_nonzero(c2 | (borrow ^ 1)));
-  }
-  return r;
+  // a = hi * 2^256 + lo.  mul(x, R^2) = x * R mod m for any 256-bit x
+  // (x * R^2 < m * R because R^2 mod m < m), so
+  //   mul(hi, R^2)            = hi * 2^256 mod m,
+  //   from_mont(mul(lo, R^2)) = lo mod m,
+  // and one modular add combines them.  Every step is constant-time, which
+  // the secret wide nonce and key derivations rely on.
+  const U256 lo{a.w[0], a.w[1], a.w[2], a.w[3]};
+  const U256 hi{a.w[4], a.w[5], a.w[6], a.w[7]};
+  return add(mul(hi, r2_), from_mont(mul(lo, r2_)));
 }
 
 }  // namespace cicero::crypto

@@ -84,8 +84,10 @@ Scalar Scalar::operator-(const Scalar& o) const {
 }
 
 Scalar Scalar::operator*(const Scalar& o) const {
+  // mul(a, b) = a*b/R, and multiplying that by R^2 restores a*b mod n:
+  // two Montgomery multiplies on plain operands, no conversions.
   const auto& fn = params().fn;
-  return Scalar(fn.from_mont(fn.mul(fn.to_mont(v_), fn.to_mont(o.v_))));
+  return Scalar(fn.mul(fn.mul(v_, o.v_), fn.r2()));
 }
 
 Scalar Scalar::operator-() const {
@@ -632,6 +634,8 @@ Point Point::mul_naive(const Scalar& k) const {
   }
   return acc;
 }
+
+void Point::normalize() { GroupCtx::batch_normalize(this, 1); }
 
 void Point::batch_normalize(std::vector<Point>& pts) {
   GroupCtx::batch_normalize(pts.data(), pts.size());

@@ -112,6 +112,11 @@ class Point {
   /// baseline in bench_crypto_micro; not used on any hot path.
   Point mul_naive(const Scalar& k) const;
 
+  /// Normalizes to Z = 1 in place: one field inversion unless already
+  /// normalized (or infinity).  Afterwards to_bytes is inversion-free and
+  /// additions with this point on the right take the mixed-addition path.
+  void normalize();
+
   /// Normalizes every finite point to Z = 1 in place, using one field
   /// inversion total (Montgomery batch inversion).  Later additions with a
   /// normalized right-hand side take the cheaper mixed-addition path, and

@@ -6,6 +6,14 @@
 namespace cicero::crypto {
 
 namespace {
+/// sk * G stored affine, so every challenge hash and verification that
+/// serializes the key is inversion-free.  The comb is the ct path.
+Point public_key(const ct::Secret<Scalar>& sk) {
+  Point pk = Point::mul_gen(sk);
+  pk.normalize();
+  return pk;
+}
+
 /// Fiat–Shamir challenge e = H(R || PK || m) as a scalar.
 Scalar challenge(const Point& r, const Point& pk, const util::Bytes& msg) {
   util::Writer w;
@@ -39,8 +47,7 @@ std::optional<SchnorrSignature> SchnorrSignature::from_bytes(const util::Bytes& 
 
 SchnorrKeyPair SchnorrKeyPair::generate(Drbg& drbg) {
   const ct::Secret<Scalar> sk = drbg.next_secret_scalar();
-  // Public-key derivation multiplies by the secret key: ct comb path.
-  return SchnorrKeyPair{sk, Point::mul_gen(sk)};
+  return SchnorrKeyPair{sk, public_key(sk)};
 }
 
 SchnorrSignature schnorr_sign(const SchnorrKeyPair& kp, const util::Bytes& msg) {
@@ -61,7 +68,10 @@ SchnorrSignature schnorr_sign(const SchnorrKeyPair& kp, const util::Bytes& msg) 
     // probability ~2^-256)
     if (!k.declassify().is_zero()) break;
   }
-  const Point r = Point::mul_gen(k);  // ct comb: nonce never hits a branch
+  Point r = Point::mul_gen(k);  // ct comb: nonce never hits a branch
+  // The one inversion of a signature: the challenge hash and to_bytes()
+  // both serialize R, and reuse this affine form.
+  r.normalize();
   const Scalar e = challenge(r, kp.pk, msg);
   // Taint-tracked signing equation; s is public by protocol once emitted.
   const Scalar s = (k + e * kp.sk).declassify();
@@ -69,7 +79,7 @@ SchnorrSignature schnorr_sign(const SchnorrKeyPair& kp, const util::Bytes& msg) 
 }
 
 SchnorrSignature schnorr_sign(const ct::Secret<Scalar>& sk, const util::Bytes& msg) {
-  return schnorr_sign(SchnorrKeyPair{sk, Point::mul_gen(sk)}, msg);
+  return schnorr_sign(SchnorrKeyPair{sk, public_key(sk)}, msg);
 }
 
 bool schnorr_verify(const Point& pk, const util::Bytes& msg, const SchnorrSignature& sig) {

@@ -18,7 +18,7 @@
 namespace cicero::crypto {
 
 struct SchnorrSignature {
-  Point r;
+  Point r;  ///< affine (Z = 1) from schnorr_sign and from_bytes
   Scalar s;
 
   util::Bytes to_bytes() const;
@@ -30,7 +30,7 @@ struct SchnorrKeyPair {
   /// Taint-wrapped signing key: wipes on destruction, cannot reach a
   /// branch or table index, and only src/crypto may declassify it.
   ct::Secret<Scalar> sk;
-  Point pk;
+  Point pk;  ///< affine (Z = 1) when built by generate()
 
   /// Deterministic key generation from a DRBG.
   static SchnorrKeyPair generate(Drbg& drbg);

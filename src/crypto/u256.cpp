@@ -21,48 +21,6 @@ int U256::cmp(const U256& o) const {
   return 0;
 }
 
-std::uint64_t U256::add_assign(const U256& o) {
-  u128 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    u128 s = static_cast<u128>(w[i]) + o.w[i] + carry;
-    w[i] = static_cast<std::uint64_t>(s);
-    carry = s >> 64;
-  }
-  return static_cast<std::uint64_t>(carry);
-}
-
-std::uint64_t U256::sub_assign(const U256& o) {
-  u128 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    u128 d = static_cast<u128>(w[i]) - o.w[i] - borrow;
-    w[i] = static_cast<std::uint64_t>(d);
-    borrow = (d >> 64) & 1;
-  }
-  return static_cast<std::uint64_t>(borrow);
-}
-
-void U256::cmov(U256& dst, const U256& src, std::uint64_t mask) {
-  for (int i = 0; i < 4; ++i) ct::ct_cmov(dst.w[i], src.w[i], mask);
-}
-
-U256 U256::ct_select(std::uint64_t mask, const U256& a, const U256& b) {
-  U256 r;
-  for (int i = 0; i < 4; ++i) r.w[i] = ct::ct_select(mask, a.w[i], b.w[i]);
-  return r;
-}
-
-void U256::ct_swap(U256& a, U256& b, std::uint64_t mask) {
-  for (int i = 0; i < 4; ++i) ct::ct_swap(a.w[i], b.w[i], mask);
-}
-
-std::uint64_t U256::eq_mask(const U256& o) const {
-  std::uint64_t acc = 0;
-  for (int i = 0; i < 4; ++i) acc |= w[i] ^ o.w[i];
-  return ct::mask_zero(acc);
-}
-
-std::uint64_t U256::zero_mask() const { return ct::mask_zero(w[0] | w[1] | w[2] | w[3]); }
-
 U256 U256::shl(unsigned k) const {
   U256 r;
   if (k >= 256) return r;

@@ -2,9 +2,9 @@
 //
 // This is the bottom layer of the from-scratch cryptography stack: four
 // 64-bit limbs, little-endian limb order, with the carry-propagating
-// primitives the Montgomery field layer needs (add/sub with carry, 256x256
-// -> 512 multiply, shifts, comparisons) plus big-endian byte/hex I/O used
-// by serialization and hashing.
+// primitives the Montgomery field layer needs (add/sub with carry, shifts,
+// comparisons), a schoolbook 256x256 -> 512 multiply, plus big-endian
+// byte/hex I/O used by serialization and hashing.
 #pragma once
 
 #include <array>
@@ -81,12 +81,62 @@ struct U256 {
   static U256 from_hex(std::string_view hex);
 };
 
+// The carry and constant-time primitives are defined inline: every field
+// operation is built from them, and a call per limb loop costs as much as
+// the loop.
+
+inline std::uint64_t U256::add_assign(const U256& o) {
+  unsigned __int128 carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    const unsigned __int128 s = static_cast<unsigned __int128>(w[i]) + o.w[i] + carry;
+    w[i] = static_cast<std::uint64_t>(s);
+    carry = s >> 64;
+  }
+  return static_cast<std::uint64_t>(carry);
+}
+
+inline std::uint64_t U256::sub_assign(const U256& o) {
+  unsigned __int128 borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const unsigned __int128 d = static_cast<unsigned __int128>(w[i]) - o.w[i] - borrow;
+    w[i] = static_cast<std::uint64_t>(d);
+    borrow = (d >> 64) & 1;
+  }
+  return static_cast<std::uint64_t>(borrow);
+}
+
+inline void U256::cmov(U256& dst, const U256& src, std::uint64_t mask) {
+  for (int i = 0; i < 4; ++i) ct::ct_cmov(dst.w[i], src.w[i], mask);
+}
+
+inline U256 U256::ct_select(std::uint64_t mask, const U256& a, const U256& b) {
+  U256 r;
+  for (int i = 0; i < 4; ++i) r.w[i] = ct::ct_select(mask, a.w[i], b.w[i]);
+  return r;
+}
+
+inline void U256::ct_swap(U256& a, U256& b, std::uint64_t mask) {
+  for (int i = 0; i < 4; ++i) ct::ct_swap(a.w[i], b.w[i], mask);
+}
+
+inline std::uint64_t U256::eq_mask(const U256& o) const {
+  std::uint64_t acc = 0;
+  for (int i = 0; i < 4; ++i) acc |= w[i] ^ o.w[i];
+  return ct::mask_zero(acc);
+}
+
+inline std::uint64_t U256::zero_mask() const {
+  return ct::mask_zero(w[0] | w[1] | w[2] | w[3]);
+}
+
 /// 512-bit product type produced by mul_wide; limbs little-endian.
 struct U512 {
   std::uint64_t w[8] = {0, 0, 0, 0, 0, 0, 0, 0};
 };
 
-/// Schoolbook 256x256 -> 512 multiply.
+/// Schoolbook 256x256 -> 512 multiply.  The field layer fuses its multiply
+/// with the reduction instead; this is the independent reference its
+/// tests compare against.
 U512 mul_wide(const U256& a, const U256& b);
 
 /// a + b mod 2^256 (carry discarded).

@@ -179,6 +179,9 @@ struct CryptoOpCounters {
   std::atomic<std::uint64_t> frost_sign{0};
   std::atomic<std::uint64_t> frost_aggregate{0};
   std::atomic<std::uint64_t> frost_verify{0};
+  /// MontgomeryCtx::inv calls (batch_inv counts once).  A deterministic
+  /// work counter: a Jacobian point reaching a serializer shows up here.
+  std::atomic<std::uint64_t> field_inv{0};
   void reset() {
     schnorr_sign = 0;
     schnorr_verify = 0;
@@ -189,6 +192,7 @@ struct CryptoOpCounters {
     frost_sign = 0;
     frost_aggregate = 0;
     frost_verify = 0;
+    field_inv = 0;
   }
 };
 CryptoOpCounters& crypto_ops();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
+
 namespace cicero::crypto {
 namespace {
 
@@ -77,6 +79,39 @@ TEST_F(SchnorrTest, EmptyMessageSupported) {
   const auto kp = SchnorrKeyPair::generate(drbg_);
   const util::Bytes msg;
   EXPECT_TRUE(schnorr_verify(kp.pk, msg, schnorr_sign(kp.sk, msg)));
+}
+
+TEST_F(SchnorrTest, FieldInversionCounts) {
+  // Keys and nonce commitments are stored affine, so keygen and signing
+  // pay one inversion each and verification against a generated key none.
+  // A Jacobian point reaching a serializer would raise these counts.
+  auto& ops = obs::crypto_ops();
+  const util::Bytes msg = util::to_bytes("update: install r at s");
+  (void)SchnorrKeyPair::generate(drbg_);  // builds the generator tables once
+
+  ops.reset();
+  const auto kp = SchnorrKeyPair::generate(drbg_);
+  EXPECT_EQ(ops.field_inv.load(), 1u);
+
+  ops.reset();
+  const auto sig = schnorr_sign(kp, msg);
+  const util::Bytes wire = sig.to_bytes();
+  EXPECT_EQ(ops.field_inv.load(), 1u);
+
+  ops.reset();
+  EXPECT_TRUE(schnorr_verify(kp.pk, msg, sig));
+  EXPECT_TRUE(schnorr_verify(kp.pk, msg, *SchnorrSignature::from_bytes(wire)));
+  EXPECT_EQ(ops.field_inv.load(), 0u);
+}
+
+TEST(FieldInvCounter, BatchInversionCountsOnce) {
+  auto& ops = obs::crypto_ops();
+  std::vector<Scalar> xs = {Scalar::from_u64(3), Scalar::from_u64(5), Scalar::from_u64(7)};
+  ops.reset();
+  Scalar::batch_inverse(xs);
+  EXPECT_EQ(ops.field_inv.load(), 1u);
+  (void)Scalar::from_u64(3).inverse();
+  EXPECT_EQ(ops.field_inv.load(), 2u);
 }
 
 }  // namespace

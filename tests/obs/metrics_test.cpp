@@ -158,10 +158,12 @@ TEST(CryptoOpCounters, ResetClearsEverything) {
   ops.reset();
   ++ops.schnorr_sign;
   ++ops.aggregate;
+  ++ops.field_inv;
   EXPECT_EQ(crypto_ops().schnorr_sign, 1u);
   ops.reset();
   EXPECT_EQ(crypto_ops().schnorr_sign, 0u);
   EXPECT_EQ(crypto_ops().aggregate, 0u);
+  EXPECT_EQ(crypto_ops().field_inv, 0u);
 }
 
 }  // namespace
