@@ -9,6 +9,18 @@ namespace cicero::core {
 namespace {
 constexpr const char* kLog = "controller";
 
+// PBFT settings shared by every control plane: unsigned BFT messages and
+// a 400 ms request timeout before a view change.
+constexpr bool kSignBftMessages = false;
+constexpr sim::SimTime kBftRequestTimeout = sim::milliseconds(400);
+
+/// Lowest-id member of a control plane: the aggregator (§4.2) and the
+/// recipient of events forwarded from another domain.
+const Controller::MemberInfo& lowest_member(const std::vector<Controller::MemberInfo>& members) {
+  return *std::min_element(members.begin(), members.end(),
+                           [](const auto& a, const auto& b) { return a.id < b.id; });
+}
+
 bft::PbftConfig make_pbft_config(const Controller::Config& c, sim::CpuServer* cpu) {
   bft::PbftConfig pc;
   // Replica id = our position in the (id-sorted) member list.
@@ -16,8 +28,8 @@ bft::PbftConfig make_pbft_config(const Controller::Config& c, sim::CpuServer* cp
     if (c.members[i].id == c.id) pc.id = static_cast<bft::ReplicaId>(i);
     pc.group.push_back(c.members[i].node);
   }
-  pc.request_timeout = c.bft_timeout;
-  pc.sign_messages = c.sign_bft_messages;
+  pc.request_timeout = kBftRequestTimeout;
+  pc.sign_messages = kSignBftMessages;
   pc.msg_processing_cost = c.costs.bft_msg_cost;
   pc.cpu = cpu;
   pc.obs = c.obs;
@@ -72,10 +84,6 @@ obs::CritPath* Controller::critpath() const {
                                                                    : nullptr;
 }
 
-std::string Controller::update_track_id(sched::UpdateId id) const {
-  return "u:" + std::to_string(config_.domain) + ":" + std::to_string(id);
-}
-
 std::string Controller::event_track_id(const EventId& id) const {
   return "e:" + std::to_string(id.origin) + ":" + std::to_string(id.seq);
 }
@@ -89,9 +97,59 @@ void Controller::rebuild_replica() {
 bool Controller::is_aggregator() const {
   // Lowest identifier among the current members (§4.2); identifiers are
   // never reused, so the choice is stable across membership changes.
-  std::uint32_t lowest = UINT32_MAX;
-  for (const auto& m : config_.members) lowest = std::min(lowest, m.id);
-  return lowest == config_.id;
+  return !config_.members.empty() && lowest_member(config_.members).id == config_.id;
+}
+
+void Controller::send(sim::NodeId to, const util::Bytes& wire,
+                      std::optional<obs::CritPhase> phase, bool southbound) {
+  obs::CritPath* cp = critpath();
+  if (cp != nullptr && phase) cp->add_phase_bytes(*phase, wire.size());
+  if (southbound) {
+    southbound_bytes_ += wire.size();
+    m_southbound_bytes_.inc(wire.size());
+  }
+  net_.send(config_.node, to, wire);
+}
+
+void Controller::milestone(Milestone m, sched::UpdateId id) {
+  obs::CritPath* cp = crit_leader() ? critpath() : nullptr;
+  obs::Tracer* trace = trace_leader() ? &config_.obs->trace : nullptr;
+  const sim::SimTime now = sim_.now();
+  switch (m) {
+    case Milestone::kReleased:
+      if (cp != nullptr) cp->update_released(id, now);
+      break;
+    case Milestone::kSent:
+      // In-network the aggregate signature is born at the aggregator
+      // switch, which stamps the signed milestone itself.
+      if (cp != nullptr && config_.framework != FrameworkKind::kCiceroInNetwork) {
+        cp->update_signed(id, now);
+      }
+      if (trace != nullptr) {
+        trace->flow_start("flow", obs::flow_track_id(id), "update.send", config_.node,
+                          obs::kTidNet);
+      }
+      break;
+    case Milestone::kResent:
+      if (cp != nullptr) cp->update_retransmitted(id, now);
+      if (trace != nullptr) {
+        trace->flow_step("flow", obs::flow_track_id(id), "update.resend", config_.node,
+                         obs::kTidNet);
+      }
+      break;
+    case Milestone::kAcked:
+    case Milestone::kChainAcked:
+      if (cp != nullptr) cp->update_acked(id, now);
+      if (trace != nullptr) {
+        trace->async_end("update", obs::update_track_id(config_.domain, id), "update",
+                         config_.node, obs::kTidMain);
+        if (m == Milestone::kAcked) {
+          trace->flow_end("flow", obs::flow_track_id(id), "update.ack", config_.node,
+                          obs::kTidNet);
+        }
+      }
+      break;
+  }
 }
 
 void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
@@ -199,17 +257,10 @@ void Controller::forward_cross_domain(const Event& e, const std::set<net::Domain
     if (it == env_.domain_directory.end() || it->second.empty()) continue;
     // Forward to the lowest-id member of the remote domain (any valid
     // recipient works; lowest-id matches the aggregator-selection rule).
-    const MemberInfo* target = &it->second.front();
-    for (const auto& m : it->second) {
-      if (m.id < target->id) target = &m;
-    }
     Event fwd = e;
     fwd.forwarded = true;  // never re-forwarded (§4.1)
-    const util::Bytes wire = fwd.encode();
-    if (obs::CritPath* cp = critpath()) {
-      cp->add_phase_bytes(obs::CritPhase::kOrder, wire.size());
-    }
-    net_.send(config_.node, target->node, wire);
+    send(lowest_member(it->second).node, fwd.encode(), obs::CritPhase::kOrder,
+         /*southbound=*/false);
     ++events_forwarded_;
     m_events_forwarded_.inc();
   }
@@ -318,7 +369,8 @@ void Controller::process_flow_event(const Event& e) {
       // visible) and closes on the switch ack in on_ack.
       for (const auto& su : local.updates) {
         config_.obs->trace.async_begin(
-            "update", update_track_id(su.update.id), "update", config_.node, obs::kTidMain,
+            "update", obs::update_track_id(config_.domain, su.update.id), "update",
+            config_.node, obs::kTidMain,
             {{"switch", static_cast<std::int64_t>(su.update.switch_node)},
              {"deps", static_cast<std::int64_t>(su.deps.size())}});
       }
@@ -339,21 +391,24 @@ void Controller::process_flow_event(const Event& e) {
 
 void Controller::release_update(sched::UpdateId id) {
   m_deps_released_.inc();
-  if (crit_leader()) critpath()->update_released(id, sim_.now());
+  milestone(Milestone::kReleased, id);
   send_update(tracker_.update(id), update_cause_.at(id));
 }
 
 void Controller::send_update(const sched::Update& update, const EventId& cause) {
   if (fault_ == ControllerFault::kSilent) return;
-  update_sent_at_.emplace(update.id, sim_.now());
-  if (config_.ack_timeout > 0 && config_.update_max_retries > 0) {
-    Inflight& fl = inflight_[update.id];
-    fl.cause = cause;
-    fl.attempt = 0;
-    ++fl.epoch;
-    arm_ack_timer(update.id, config_.ack_timeout);
-  }
+  await_ack(update.id, cause);
   dispatch_update(update, cause);
+}
+
+void Controller::await_ack(sched::UpdateId id, const EventId& cause) {
+  update_sent_at_.emplace(id, sim_.now());
+  if (config_.ack_timeout <= 0 || config_.update_max_retries == 0) return;
+  Inflight& fl = inflight_[id];
+  fl.cause = cause;
+  fl.attempt = 0;
+  ++fl.epoch;
+  arm_ack_timer(id, config_.ack_timeout);
 }
 
 // One ack-timeout round: if the update is still un-acked when the timer
@@ -447,8 +502,8 @@ void Controller::abandon_update(sched::UpdateId id) {
                                  {{"update", static_cast<std::int64_t>(r)}});
     }
     if (trace_leader()) {
-      config_.obs->trace.async_end("update", update_track_id(r), "update", config_.node,
-                                   obs::kTidMain);
+      config_.obs->trace.async_end("update", obs::update_track_id(config_.domain, r), "update",
+                                   config_.node, obs::kTidMain);
     }
   }
   flush_parked_chains();  // abandonment also resolves cross-schedule waits
@@ -478,15 +533,15 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
   const sim::SimTime sign_cost = threshold ? config_.costs.partial_sign : sim::SimTime{0};
 
   if (trace_leader()) {
-    config_.obs->trace.async_begin("update", update_track_id(update.id), "sign",
-                                   config_.node, obs::kTidCrypto);
+    config_.obs->trace.async_begin("update", obs::update_track_id(config_.domain, update.id),
+                                   "sign", config_.node, obs::kTidCrypto);
   }
   const sched::UpdateId uid = update.id;
   cpu_.execute(sign_cost, "update.sign", [this, uid, retransmit,
                                           msg = std::move(msg)]() mutable {
     if (trace_leader()) {
-      config_.obs->trace.async_end("update", update_track_id(uid), "sign", config_.node,
-                                   obs::kTidCrypto);
+      config_.obs->trace.async_end("update", obs::update_track_id(config_.domain, uid), "sign",
+                                   config_.node, obs::kTidCrypto);
       // Close the dependency-release arrow opened in on_ack: the edge
       // runs from the predecessor's ack to this dependent leaving.
       const auto dep = pending_dep_flow_.find(uid);
@@ -497,11 +552,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
         pending_dep_flow_.erase(dep);
       }
     }
-    if (retransmit && crit_leader()) critpath()->update_retransmitted(uid, sim_.now());
-    if (retransmit && trace_leader()) {
-      config_.obs->trace.flow_step("flow", flow_track_id(uid), "update.resend", config_.node,
-                                   obs::kTidNet);
-    }
+    if (retransmit) milestone(Milestone::kResent, uid);
     // Decision audit trail: record the exact update body we are about to
     // sign and emit (a mutating controller thereby signs evidence of its
     // own corruption; see core/audit.hpp).
@@ -540,35 +591,16 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     if (config_.framework == FrameworkKind::kCiceroAgg && !is_aggregator()) {
       // Route through the aggregator (Fig. 7c).  The partial-carrying hop
       // is part of the signing phase's control-plane traffic.
-      const MemberInfo* agg = &config_.members.front();
-      for (const auto& m : config_.members) {
-        if (m.id < agg->id) agg = &m;
-      }
-      const util::Bytes wire = msg.encode();
-      if (obs::CritPath* cp = critpath()) {
-        cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
-                            wire.size());
-      }
-      net_.send(config_.node, agg->node, wire);
+      send(lowest_member(config_.members).node, msg.encode(),
+           retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
+           /*southbound=*/false);
     } else if (config_.framework == FrameworkKind::kCiceroAgg) {
       on_peer_update(msg);  // we are the aggregator: count our own partial
     } else {
-      const util::Bytes wire = msg.encode();
-      if (obs::CritPath* cp = critpath()) {
-        cp->add_phase_bytes(
-            retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
-            wire.size());
-      }
-      if (!retransmit) {
-        if (crit_leader()) critpath()->update_signed(uid, sim_.now());
-        if (trace_leader()) {
-          config_.obs->trace.flow_start("flow", flow_track_id(uid), "update.send",
-                                        config_.node, obs::kTidNet);
-        }
-      }
-      southbound_bytes_ += wire.size();
-      m_southbound_bytes_.inc(wire.size());
-      net_.send(config_.node, sw_it->second, wire);
+      if (!retransmit) milestone(Milestone::kSent, uid);
+      send(sw_it->second, msg.encode(),
+           retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
+           /*southbound=*/true);
     }
   });
 }
@@ -599,17 +631,9 @@ void Controller::dispatch_innet(const UpdateMsg& msg, sched::UpdateId uid, std::
   // The partial-carrying hop to the aggregator switch is signing-phase
   // traffic (like kCiceroAgg's partial hop); the single fan-out send the
   // aggregator makes afterwards is the propagate phase.
-  if (obs::CritPath* cp = critpath()) {
-    cp->add_phase_bytes(retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
-                        wire.size());
-  }
-  if (!retransmit && trace_leader()) {
-    config_.obs->trace.flow_start("flow", flow_track_id(uid), "update.send", config_.node,
-                                  obs::kTidNet);
-  }
-  southbound_bytes_ += wire.size();
-  m_southbound_bytes_.inc(wire.size());
-  net_.send(config_.node, config_.innet_aggregator, wire);
+  if (!retransmit) milestone(Milestone::kSent, uid);
+  send(config_.innet_aggregator, wire,
+       retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign, /*southbound=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -649,21 +673,13 @@ void Controller::launch_chain(const std::shared_ptr<DecChain>& chain) {
   // controller-side dependency wait past this point, the switches
   // sequence the chain in-band.  Only the sinks are tracked for acks: a
   // sink ack covers its whole ancestor closure.
-  const sim::SimTime now = sim_.now();
   for (const SegmentManifest& m : chain->plan.manifests) {
     m_deps_released_.inc();
-    if (crit_leader()) critpath()->update_released(m.update.id, now);
+    milestone(Milestone::kReleased, m.update.id);
   }
   for (const sched::UpdateId sink : chain->plan.sinks) {
     dec_chains_[sink] = chain;
-    update_sent_at_.emplace(sink, now);
-    if (config_.ack_timeout > 0 && config_.update_max_retries > 0) {
-      Inflight& fl = inflight_[sink];
-      fl.cause = chain->cause;
-      fl.attempt = 0;
-      ++fl.epoch;
-      arm_ack_timer(sink, config_.ack_timeout);
-    }
+    await_ack(sink, chain->cause);
   }
   for (const SegmentManifest& m : chain->plan.manifests) {
     send_manifest(m, chain->cause, /*retransmit=*/false);
@@ -728,11 +744,7 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
   const sched::UpdateId uid = manifest.update.id;
   cpu_.execute(config_.costs.partial_sign, "manifest.sign", [this, uid, retransmit,
                                                              msg = std::move(msg)]() mutable {
-    if (retransmit && crit_leader()) critpath()->update_retransmitted(uid, sim_.now());
-    if (retransmit && trace_leader()) {
-      config_.obs->trace.flow_step("flow", flow_track_id(uid), "update.resend", config_.node,
-                                   obs::kTidNet);
-    }
+    if (retransmit) milestone(Milestone::kResent, uid);
     const util::Bytes signing = manifest_signing_bytes(msg.manifest, msg.epoch);
     // Decision audit trail, as for updates: the signed bytes pin the
     // segment's position in the chain, not just the rule.
@@ -748,21 +760,10 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
 
     const auto sw_it = env_.switch_nodes.find(msg.manifest.update.switch_node);
     if (sw_it == env_.switch_nodes.end()) return;
-    const util::Bytes wire = msg.encode();
-    if (obs::CritPath* cp = critpath()) {
-      cp->add_phase_bytes(
-          retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate, wire.size());
-    }
-    if (!retransmit) {
-      if (crit_leader()) critpath()->update_signed(uid, sim_.now());
-      if (trace_leader()) {
-        config_.obs->trace.flow_start("flow", flow_track_id(uid), "update.send", config_.node,
-                                      obs::kTidNet);
-      }
-    }
-    southbound_bytes_ += wire.size();
-    m_southbound_bytes_.inc(wire.size());
-    net_.send(config_.node, sw_it->second, wire);
+    if (!retransmit) milestone(Milestone::kSent, uid);
+    send(sw_it->second, msg.encode(),
+         retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
+         /*southbound=*/true);
   });
 }
 
@@ -790,15 +791,7 @@ void Controller::on_ack_decentralized(const AckMsg& ack) {
     if (!chain->finalized.insert(id).second) continue;  // shared with another sink
     tracker_.complete(id);  // ready list unused: every segment already shipped
     update_cause_.erase(id);
-    if (crit_leader()) critpath()->update_acked(id, now);
-    if (trace_leader()) {
-      config_.obs->trace.async_end("update", update_track_id(id), "update", config_.node,
-                                   obs::kTidMain);
-      if (id == ack.update_id) {
-        config_.obs->trace.flow_end("flow", flow_track_id(id), "update.ack", config_.node,
-                                    obs::kTidNet);
-      }
-    }
+    milestone(id == ack.update_id ? Milestone::kAcked : Milestone::kChainAcked, id);
   }
   flush_parked_chains();  // the closure may free a cross-schedule wait
 }
@@ -820,19 +813,15 @@ void Controller::on_ack(const AckMsg& ack) {
     return;
   }
   disarm_ack_timer(ack.update_id);  // cancels the pending retransmission wakeup
-  if (crit_leader()) critpath()->update_acked(ack.update_id, sim_.now());
   const auto it = update_sent_at_.find(ack.update_id);
   if (it != update_sent_at_.end()) {
-    if (config_.obs != nullptr) {
-      update_ack_ms_.observe(sim::to_ms(sim_.now() - it->second));
-      if (trace_leader()) {
-        config_.obs->trace.async_end("update", update_track_id(ack.update_id), "update",
-                                     config_.node, obs::kTidMain);
-        config_.obs->trace.flow_end("flow", flow_track_id(ack.update_id), "update.ack",
-                                    config_.node, obs::kTidNet);
-      }
-    }
+    if (config_.obs != nullptr) update_ack_ms_.observe(sim::to_ms(sim_.now() - it->second));
     update_sent_at_.erase(it);
+    milestone(Milestone::kAcked, ack.update_id);
+  } else if (crit_leader()) {
+    // A duplicate, or an ack that outran our own send: the profiler's
+    // first-wins acked stamp only; the trace closes on the first ack.
+    critpath()->update_acked(ack.update_id, sim_.now());
   }
   // Retransmits use inflight_'s copy, so the cause can go — but only once
   // the tracker has scheduled the id.  An ack can outrun our own
@@ -866,17 +855,8 @@ void Controller::on_peer_update(const UpdateMsg& m) {
   if (done != agg_completed_.end()) {
     const auto sw_it = env_.switch_nodes.find(m.update.switch_node);
     if (sw_it != env_.switch_nodes.end()) {
-      if (obs::CritPath* cp = critpath()) {
-        cp->update_retransmitted(m.update.id, sim_.now());
-        cp->add_phase_bytes(obs::CritPhase::kRetransmit, done->second.size());
-      }
-      if (trace_leader()) {
-        config_.obs->trace.flow_step("flow", flow_track_id(m.update.id), "update.resend",
-                                     config_.node, obs::kTidNet);
-      }
-      southbound_bytes_ += done->second.size();
-      m_southbound_bytes_.inc(done->second.size());
-      net_.send(config_.node, sw_it->second, done->second);
+      milestone(Milestone::kResent, m.update.id);
+      send(sw_it->second, done->second, obs::CritPhase::kRetransmit, /*southbound=*/true);
     }
     return;
   }
@@ -900,21 +880,8 @@ void Controller::on_peer_update(const UpdateMsg& m) {
       bool in_session = false;
       for (const auto& c : p.frost_session) in_session |= (c.signer == m.partial.signer);
       if (in_session) {
-        FrostSessionMsg session;
-        session.update_id = m.update.id;
-        for (const auto& c : p.frost_session) session.commitments.push_back(c.to_bytes());
-        for (const auto& mem : config_.members) {
-          if (mem.id + 1 != m.partial.signer) continue;
-          if (mem.id == config_.id) {
-            on_frost_session(session);
-          } else {
-            const util::Bytes session_wire = session.encode();
-            if (obs::CritPath* cp = critpath()) {
-              cp->add_phase_bytes(obs::CritPhase::kRetransmit, session_wire.size());
-            }
-            net_.send(config_.node, mem.node, session_wire);
-          }
-        }
+        send_session(m.update.id, p.frost_session, m.partial.signer,
+                     obs::CritPhase::kRetransmit);
       }
       return;
     }
@@ -955,37 +922,16 @@ void Controller::on_peer_update(const UpdateMsg& m) {
     cpu_.execute(agg_cost, "aggregate", [this, id] {
       auto it2 = agg_pending_.find(id);
       if (it2 == agg_pending_.end()) return;
-      AggPending& p3 = it2->second;
-      AggUpdateMsg out;
-      out.update = p3.update;
-      out.cause = p3.cause;
-      if (config_.real_crypto) {
-        std::vector<crypto::PartialSignature> parts;
-        for (const auto& [idx, part] : p3.partials) parts.push_back(part);
-        const auto agg = crypto::SimBlsScheme::instance().aggregate(p3.signing_bytes, parts,
-                                                                    config_.quorum);
-        if (!agg) return;
-        out.agg_sig = *agg;
-      } else {
-        out.agg_sig = {0x00};
+      const AggPending& p3 = it2->second;
+      if (!config_.real_crypto) {
+        ship_aggregate(it2, {0x00});
+        return;
       }
-      const util::Bytes wire = out.encode();
-      agg_completed_[id] = wire;
-      const auto sw_it = env_.switch_nodes.find(p3.update.switch_node);
-      if (sw_it != env_.switch_nodes.end()) {
-        if (obs::CritPath* cp = critpath()) {
-          cp->update_signed(id, sim_.now());  // aggregator == crit leader
-          cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
-        }
-        if (trace_leader()) {
-          config_.obs->trace.flow_start("flow", flow_track_id(id), "update.send",
-                                        config_.node, obs::kTidNet);
-        }
-        southbound_bytes_ += wire.size();
-        m_southbound_bytes_.inc(wire.size());
-        net_.send(config_.node, sw_it->second, wire);
-      }
-      agg_pending_.erase(it2);
+      std::vector<crypto::PartialSignature> parts;
+      for (const auto& [idx, part] : p3.partials) parts.push_back(part);
+      auto agg =
+          crypto::SimBlsScheme::instance().aggregate(p3.signing_bytes, parts, config_.quorum);
+      if (agg) ship_aggregate(it2, std::move(*agg));
     });
   });
 }
@@ -1007,23 +953,24 @@ void Controller::maybe_start_frost_session(sched::UpdateId id) {
     if (taken++ == config_.quorum) break;
     p.frost_session.push_back(c);
   }
+  for (const auto& c : p.frost_session) {
+    send_session(id, p.frost_session, c.signer, obs::CritPhase::kSign);
+  }
+}
+
+void Controller::send_session(sched::UpdateId id,
+                              const std::vector<crypto::FrostCommitment>& commitments,
+                              crypto::ShareIndex signer, obs::CritPhase phase) {
   FrostSessionMsg session;
   session.update_id = id;
-  for (const auto& c : p.frost_session) session.commitments.push_back(c.to_bytes());
-  const util::Bytes wire = session.encode();
-  for (const auto& c : p.frost_session) {
-    // Locate the member owning this share index (share index = id + 1).
-    for (const auto& m : config_.members) {
-      if (m.id + 1 == c.signer) {
-        if (m.id == config_.id) {
-          on_frost_session(session);  // our own round-2 contribution
-        } else {
-          if (obs::CritPath* cp = critpath()) {
-            cp->add_phase_bytes(obs::CritPhase::kSign, wire.size());
-          }
-          net_.send(config_.node, m.node, wire);
-        }
-      }
+  for (const auto& c : commitments) session.commitments.push_back(c.to_bytes());
+  // Locate the member owning this share index (share index = id + 1).
+  for (const auto& m : config_.members) {
+    if (m.id + 1 != signer) continue;
+    if (m.id == config_.id) {
+      on_frost_session(session);  // our own round-2 contribution
+    } else {
+      send(m.node, session.encode(), phase, /*southbound=*/false);
     }
   }
 }
@@ -1059,18 +1006,11 @@ void Controller::on_frost_session(const FrostSessionMsg& m) {
     reply.z = {0x00};
   }
   cpu_.execute(config_.costs.partial_sign, "update.sign", [this, reply = std::move(reply)] {
-    const MemberInfo* agg = &config_.members.front();
-    for (const auto& mem : config_.members) {
-      if (mem.id < agg->id) agg = &mem;
-    }
-    if (agg->id == config_.id) {
+    if (is_aggregator()) {
       on_frost_partial(reply);
     } else {
-      const util::Bytes wire = reply.encode();
-      if (obs::CritPath* cp = critpath()) {
-        cp->add_phase_bytes(obs::CritPhase::kSign, wire.size());
-      }
-      net_.send(config_.node, agg->node, wire);
+      send(lowest_member(config_.members).node, reply.encode(), obs::CritPhase::kSign,
+           /*southbound=*/false);
     }
   });
 }
@@ -1109,35 +1049,29 @@ void Controller::finish_frost_aggregation(sched::UpdateId id) {
   cpu_.execute(agg_cost, "aggregate", [this, id] {
     auto it = agg_pending_.find(id);
     if (it == agg_pending_.end()) return;
-    AggPending& p = it->second;
-    AggUpdateMsg out;
-    out.update = p.update;
-    out.cause = p.cause;
-    if (config_.real_crypto) {
-      const auto sig =
-          crypto::frost_aggregate(p.signing_bytes, p.frost_session, config_.group_pk,
-                                  p.frost_partials);
-      if (!sig) return;
-      out.agg_sig = sig->to_bytes();
-    } else {
-      out.agg_sig = {0x01};
+    if (!config_.real_crypto) {
+      ship_aggregate(it, {0x01});
+      return;
     }
-    const util::Bytes wire = out.encode();
-    agg_completed_[id] = wire;
-    const auto sw_it = env_.switch_nodes.find(p.update.switch_node);
-    if (sw_it != env_.switch_nodes.end()) {
-      if (obs::CritPath* cp = critpath()) {
-        cp->update_signed(id, sim_.now());  // aggregator == crit leader
-        cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
-      }
-      if (trace_leader()) {
-        config_.obs->trace.flow_start("flow", flow_track_id(id), "update.send", config_.node,
-                                      obs::kTidNet);
-      }
-      net_.send(config_.node, sw_it->second, wire);
-    }
-    agg_pending_.erase(it);
+    const AggPending& p = it->second;
+    const auto sig = crypto::frost_aggregate(p.signing_bytes, p.frost_session, config_.group_pk,
+                                             p.frost_partials);
+    if (sig) ship_aggregate(it, sig->to_bytes());
   });
+}
+
+void Controller::ship_aggregate(std::map<sched::UpdateId, AggPending>::iterator it,
+                                util::Bytes agg_sig) {
+  const sched::UpdateId id = it->first;
+  const util::Bytes wire = AggUpdateMsg{it->second.update, it->second.cause, std::move(agg_sig)}
+                               .encode();
+  agg_completed_[id] = wire;
+  const auto sw_it = env_.switch_nodes.find(it->second.update.switch_node);
+  if (sw_it != env_.switch_nodes.end()) {
+    milestone(Milestone::kSent, id);  // aggregator == crit/trace leader
+    send(sw_it->second, wire, obs::CritPhase::kPropagate, /*southbound=*/true);
+  }
+  agg_pending_.erase(it);
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,10 +1111,8 @@ void Controller::inject_rogue_update(net::NodeIndex switch_node, const sched::Up
     msg.partial = crypto::SimBlsScheme::instance().partial_sign(
         config_.share, update_signing_bytes(msg.update));
   }
-  const util::Bytes wire = msg.encode();
-  southbound_bytes_ += wire.size();
-  m_southbound_bytes_.inc(wire.size());
-  net_.send(config_.node, sw_it->second, wire);
+  // Outside any update's lifecycle: no critical-path phase.
+  send(sw_it->second, msg.encode(), std::nullopt, /*southbound=*/true);
 }
 
 }  // namespace cicero::core

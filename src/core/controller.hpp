@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "bft/pbft.hpp"
@@ -86,8 +87,6 @@ class Controller {
     sim::NodeId innet_aggregator = sim::kInvalidNode;
     std::uint64_t nonce_seed = 0;  ///< per-controller FROST nonce stream
     bool real_crypto = true;
-    bool sign_bft_messages = false;  ///< Schnorr on every BFT message
-    sim::SimTime bft_timeout = sim::milliseconds(200);
     /// Transactional apply/ack recovery (§4.1): an update whose signed ack
     /// has not arrived within `ack_timeout` is re-signed and retransmitted
     /// with exponential backoff, up to `update_max_retries` resends.
@@ -190,6 +189,8 @@ class Controller {
                       bool retransmit);
   /// This replica's rank: position of our id in the sorted member list.
   std::size_t member_rank() const;
+  /// Records the first-send instant and arms the ack timer for `id`.
+  void await_ack(sched::UpdateId id, const EventId& cause);
   void arm_ack_timer(sched::UpdateId id, sim::SimTime delay);
   void on_ack(const AckMsg& ack);
   /// Decentralized execution: plan + ship every manifest of one schedule,
@@ -205,6 +206,10 @@ class Controller {
   void on_frost_session(const FrostSessionMsg& m);   ///< signer role (kFrost)
   void on_frost_partial(const FrostPartialMsg& m);   ///< aggregator role (kFrost)
   void maybe_start_frost_session(sched::UpdateId id);
+  /// Sends the signing session to the member holding share `signer`
+  /// (or runs our own round 2 when that is us).
+  void send_session(sched::UpdateId id, const std::vector<crypto::FrostCommitment>& commitments,
+                    crypto::ShareIndex signer, obs::CritPhase phase);
   void finish_frost_aggregation(sched::UpdateId id);
   void forward_cross_domain(const Event& e, const std::set<net::DomainId>& domains);
   std::set<net::DomainId> domains_of_path(const std::vector<net::NodeIndex>& path) const;
@@ -241,6 +246,9 @@ class Controller {
     bool done = false;
   };
   std::map<sched::UpdateId, AggPending> agg_pending_;
+  /// Aggregator role: ships one finished aggregate (either backend) to its
+  /// switch, caches it for replay and retires the pending entry.
+  void ship_aggregate(std::map<sched::UpdateId, AggPending>::iterator it, util::Bytes agg_sig);
   /// Aggregator role: encoded AggUpdateMsg per completed update, replayed
   /// when a peer retransmits (its partial arrived after aggregation, i.e.
   /// the aggregated update or the ack was lost somewhere downstream).
@@ -312,7 +320,6 @@ class Controller {
   // event/update; per-node CPU spans are emitted by everyone.
   bool tracing() const;
   bool trace_leader() const;
-  std::string update_track_id(sched::UpdateId id) const;
   std::string event_track_id(const EventId& id) const;
   /// Critical-path profiler sink, or nullptr when obs is absent/disabled.
   obs::CritPath* critpath() const;
@@ -320,9 +327,21 @@ class Controller {
   /// each update gets exactly one deployment-wide record; phase *byte*
   /// accounting is per-sender and recorded by every member.
   bool crit_leader() const { return critpath() != nullptr && is_aggregator(); }
-  /// Globally-unique flow-arrow track for one update ("u:<id>"; update
-  /// ids are unique deployment-wide, see sched::update_id_base).
-  static std::string flow_track_id(sched::UpdateId id) { return "u:" + std::to_string(id); }
+  /// Update lifecycle points stamped at the controller, each recorded on
+  /// the critical-path profiler and as its trace event (leader only).
+  enum class Milestone : std::uint8_t {
+    kReleased,    ///< dependencies met, dispatch starts
+    kSent,        ///< first signed copy leaves toward the switch
+    kResent,      ///< retransmission
+    kAcked,       ///< switch ack: lifecycle track and flow arrow close
+    kChainAcked,  ///< decentralized: completed by its chain sink's ack
+  };
+  void milestone(Milestone m, sched::UpdateId id);
+  /// The controller's one send: counts the bytes toward `phase` of the
+  /// critical path (if any) and, for controller -> switch traffic, toward
+  /// southbound_bytes().
+  void send(sim::NodeId to, const util::Bytes& wire, std::optional<obs::CritPhase> phase,
+            bool southbound);
   /// Parent (acked) update per released dependent, pending its dispatch
   /// flow-arrow close; trace-leader only, erased at dispatch.
   std::map<sched::UpdateId, sched::UpdateId> pending_dep_flow_;
@@ -338,9 +357,8 @@ class Controller {
   obs::Counter m_southbound_bytes_;
   obs::Counter m_agg_mismatch_;
   obs::Histogram update_ack_ms_;
-  /// First-send instant per un-acked update; populated unconditionally
-  /// (the retransmission path relies on it), observed into metrics only
-  /// when obs is attached.
+  /// First-send instant per un-acked update: its first ack closes the
+  /// lifecycle trace and, when obs is attached, feeds update_ack_ms_.
   std::map<sched::UpdateId, sim::SimTime> update_sent_at_;
 
  public:

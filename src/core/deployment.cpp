@@ -164,7 +164,6 @@ void Deployment::build_nodes() {
     cfg.real_crypto = params_.real_crypto;
     cfg.switch_directory = &switch_nodes_;
     cfg.pki = &pki_;
-    cfg.applied_dedupe_window = params_.applied_dedupe_window;
     cfg.domain = d;
     cfg.obs = obs_for_domain(d);
     pki_.register_origin(sw, cfg.key.pk);
@@ -288,8 +287,6 @@ Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t i
   cfg.backend = params_.backend;
   cfg.nonce_seed = params_.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1));
   cfg.real_crypto = params_.real_crypto;
-  cfg.sign_bft_messages = params_.sign_bft_messages;
-  cfg.bft_timeout = params_.bft_timeout;
   cfg.ack_timeout = params_.ack_timeout;
   cfg.update_max_retries = params_.update_max_retries;
   if (params_.framework == FrameworkKind::kCiceroInNetwork) {

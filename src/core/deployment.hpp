@@ -50,20 +50,16 @@ struct DeploymentParams {
   /// and whether the controller or the switches sequence each schedule.
   FrameworkKind framework = FrameworkKind::kCicero;
   std::size_t controllers_per_domain = 4;
-  /// Switch-side duplicate-suppression window (SwitchRuntime::Config).
-  std::size_t applied_dedupe_window = 4096;
   CostModel costs;
   /// Threshold scheme; kFrost is only valid with kCiceroAgg (the signing
   /// session needs a coordinator) and demonstrates the protocol over a
   /// cryptographically REAL threshold signature.
   ThresholdBackend backend = ThresholdBackend::kSimBls;
   bool real_crypto = true;
-  bool sign_bft_messages = false;
   std::uint64_t seed = 1;
   /// Tear the route down after each flow completes (Fig. 11c's
   /// unamortized setup/teardown mode).
   bool teardown_after_flow = false;
-  sim::SimTime bft_timeout = sim::milliseconds(400);
   /// Controller-side apply/ack retransmission (see Controller::Config);
   /// `ack_timeout <= 0` or `update_max_retries == 0` disables.
   sim::SimTime ack_timeout = sim::milliseconds(500);

@@ -8,7 +8,17 @@ namespace cicero::core {
 
 namespace {
 constexpr const char* kLog = "switch";
+
+/// The bucket for (id, key) in one of the runtime's bucket maps, or null.
+template <class Map, class Key>
+auto* find_bucket(Map& pending, sched::UpdateId id, const Key& key) {
+  using Bucket = typename Map::mapped_type::mapped_type;
+  const auto it = pending.find(id);
+  if (it == pending.end()) return static_cast<Bucket*>(nullptr);
+  const auto bit = it->second.find(key);
+  return bit == it->second.end() ? nullptr : &bit->second;
 }
+}  // namespace
 
 SwitchRuntime::SwitchRuntime(sim::Simulator& simulator, sim::NetworkSim& network, Config config)
     : sim_(simulator), net_(network), config_(std::move(config)), cpu_(simulator) {
@@ -26,10 +36,6 @@ SwitchRuntime::SwitchRuntime(sim::Simulator& simulator, sim::NetworkSim& network
 
 bool SwitchRuntime::tracing() const {
   return config_.obs != nullptr && config_.obs->trace.enabled();
-}
-
-std::string SwitchRuntime::update_track_id(sched::UpdateId id) const {
-  return "u:" + std::to_string(config_.domain) + ":" + std::to_string(id);
 }
 
 obs::CritPath* SwitchRuntime::critpath() const {
@@ -112,11 +118,10 @@ void SwitchRuntime::crash() {
     missed_while_down_.emplace(std::make_pair(rule.match.src_host, rule.match.dst_host),
                                rule.reserved_bps);
   }
-  for (const auto& [id, pm] : pending_manifests_) {
-    for (const auto& [digest, bucket] : pm.buckets) {
-      if (bucket.partials.empty()) continue;
-      if (bucket.manifest.update.op != sched::UpdateOp::kInstall) continue;
-      const auto& rule = bucket.manifest.update.rule;
+  for (const auto& [id, buckets] : pending_manifests_) {
+    for (const auto& [digest, bucket] : buckets) {
+      if (bucket.body.update.op != sched::UpdateOp::kInstall) continue;
+      const auto& rule = bucket.body.update.rule;
       missed_while_down_.emplace(std::make_pair(rule.match.src_host, rule.match.dst_host),
                                  rule.reserved_bps);
     }
@@ -219,8 +224,11 @@ void SwitchRuntime::handle_message(sim::NodeId from, const util::Bytes& wire) {
     }
     case CoreMsgTag::kPartialShare: {
       if (auto m = PartialShareMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle",
-                     [this, from, m = std::move(*m)] { on_partial_share(from, m); });
+        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle", [this, from,
+                                                                     m = std::move(*m)] {
+          if (down_ || config_.framework != FrameworkKind::kCiceroInNetwork) return;
+          on_innet_partial(from, m.update_id, m.partial, nullptr, m.digest);
+        });
       }
       break;
     }
@@ -270,27 +278,23 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   if (config_.framework == FrameworkKind::kCiceroInNetwork) {
     // In-network mode the replicas only ever address the designated
     // aggregator, so every body copy arriving here is aggregation input.
-    on_innet_body(from, m);
+    on_innet_partial(from, m.update.id, m.partial, &m, 0);
     return;
   }
-  if (applied_ids_.count(m.update.id) != 0) {
+  const sched::UpdateId id = m.update.id;
+  if (applied_ids_.count(id) != 0) {
     // Duplicate of an applied update: the sender retransmitted because it
     // never saw our ack (or its partial arrived after the quorum closed).
     // Re-ack to the sender only instead of re-applying (idempotence).
-    re_ack(m.update.id, from);
+    send_ack(id, /*reissue=*/true, from);
     return;
   }
-  if (config_.obs != nullptr) first_rx_.emplace(m.update.id, sim_.now());
-  if (obs::CritPath* cp = critpath()) cp->update_rx(m.update.id, sim_.now());
-  if (tracing()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(m.update.id), "update.rx",
-                                 config_.node, obs::kTidMain);
-  }
+  milestone(Milestone::kRx, id);
 
   if (!is_threshold_signed(config_.framework)) {
     // No quorum authentication: the first copy of the update is applied
     // as-is.  (This is the attack surface the Byzantine tests exploit.)
-    note_applied(m.update.id);
+    note_applied(id);
     apply_update(m.update);
     return;
   }
@@ -298,70 +302,77 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   // Cicero switch aggregation (Fig. 6b): buffer identical updates until a
   // quorum of distinct signers accumulated, bucketed by update body.
   if (m.partial.signer == 0) return;  // Cicero updates must carry a partial
-  const util::Bytes signing_bytes = update_signing_bytes(m.update);
-  const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
-  const util::Bytes digest(d.begin(), d.end());
-
-  Pending& p = pending_[m.update.id];
-  Bucket& bucket = p.buckets[digest];
-  if (bucket.partials.empty()) {
-    bucket.update = m.update;
-    bucket.signing_bytes = signing_bytes;
-  }
-  if (p.buckets.size() > 1) {
-    CICERO_LOG_WARN(kLog, "s%u: conflicting update bodies for id %llu", config_.topo_index,
-                    static_cast<unsigned long long>(m.update.id));
-  }
-  bucket.partials[m.partial.signer] = m.partial;
-  try_aggregate(m.update.id, digest);
+  util::Bytes signing_bytes = update_signing_bytes(m.update);
+  const crypto::Digest key = crypto::Sha256::hash(signing_bytes);
+  add_partial(pending_, id, key, m.partial, &m.update, std::move(signing_bytes));
+  try_aggregate(pending_, id, key, [this](const sched::Update& update, const util::Bytes&) {
+    note_applied(update.id);
+    apply_update(update);
+  });
 }
 
-void SwitchRuntime::try_aggregate(sched::UpdateId id, const util::Bytes& digest) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  const auto bit = it->second.buckets.find(digest);
-  if (bit == it->second.buckets.end()) return;
-  Bucket& bucket = bit->second;
-  if (bucket.aggregating || bucket.partials.size() < config_.quorum) return;
-  bucket.aggregating = true;
+template <class Key, class Body>
+bool SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id,
+                                const Key& key, const crypto::PartialSignature& partial,
+                                const Body* body, util::Bytes signing_bytes) {
+  auto& buckets = pending[id];
+  const auto [it, opened] = buckets.try_emplace(key);
+  Bucket<Body>& bucket = it->second;
+  if (body != nullptr && bucket.signing_bytes.empty()) {
+    bucket.body = *body;
+    bucket.signing_bytes = std::move(signing_bytes);
+  }
+  bucket.partials[partial.signer] = partial;
+  if (!opened || buckets.size() != 2) return false;
+  CICERO_LOG_WARN(kLog, "s%u: conflicting bodies for update %llu", config_.topo_index,
+                  static_cast<unsigned long long>(id));
+  return true;
+}
+
+template <class Key, class Body, class Done>
+void SwitchRuntime::try_aggregate(Buckets<Key, Body>& pending, sched::UpdateId id,
+                                  const Key& key, Done done) {
+  Bucket<Body>* bucket = find_bucket(pending, id, key);
+  if (bucket == nullptr || bucket->aggregating || bucket->signing_bytes.empty() ||
+      bucket->partials.size() < config_.quorum) {
+    return;
+  }
+  bucket->aggregating = true;
 
   // Charge aggregation (per-share Lagrange work) + threshold verification.
   const sim::SimTime cost =
       config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum) +
       config_.costs.threshold_verify;
-  cpu_.execute(cost, "aggregate", [this, id, digest] {
+  cpu_.execute(cost, "aggregate", [this, &pending, id, key, done = std::move(done)] {
     if (down_) return;
-    auto it2 = pending_.find(id);
-    if (it2 == pending_.end()) return;
-    const auto bit2 = it2->second.buckets.find(digest);
-    if (bit2 == it2->second.buckets.end()) return;
-    Bucket& bucket = bit2->second;
-    bucket.aggregating = false;
-    if (applied_ids_.count(id) != 0) return;
+    Bucket<Body>* b = find_bucket(pending, id, key);
+    if (b == nullptr) return;
+    b->aggregating = false;
+    if (settled(id)) return;
 
-    bool valid = true;
-    if (config_.real_crypto) {
-      const auto& scheme = crypto::SimBlsScheme::instance();
+    std::optional<util::Bytes> sig;
+    if (!config_.real_crypto) {
+      sig = util::Bytes{0x00};  // cost-model placeholder
+    } else {
       // Try quorum-sized subsets, excluding at most one suspect at a time:
       // with up to f bad partials among >= 2f+1 received this terminates
       // with a valid aggregate once enough honest partials arrive.
+      const auto& scheme = crypto::SimBlsScheme::instance();
       std::vector<crypto::PartialSignature> all;
-      all.reserve(bucket.partials.size());
-      for (const auto& [idx, part] : bucket.partials) all.push_back(part);
-      valid = false;
-      for (std::size_t skip = 0; skip <= all.size() && !valid; ++skip) {
+      all.reserve(b->partials.size());
+      for (const auto& [idx, part] : b->partials) all.push_back(part);
+      for (std::size_t skip = 0; skip <= all.size() && !sig; ++skip) {
         std::vector<crypto::PartialSignature> subset;
         for (std::size_t i = 0; i < all.size(); ++i) {
           if (skip != 0 && i == skip - 1) continue;  // skip==0: no exclusion
           subset.push_back(all[i]);
         }
         if (subset.size() < config_.quorum) continue;
-        const auto agg = scheme.aggregate(bucket.signing_bytes, subset, config_.quorum);
-        if (agg && scheme.verify(config_.group_pk, bucket.signing_bytes, *agg)) valid = true;
+        auto agg = scheme.aggregate(b->signing_bytes, subset, config_.quorum);
+        if (agg && scheme.verify(config_.group_pk, b->signing_bytes, *agg)) sig = std::move(agg);
       }
     }
-
-    if (!valid) {
+    if (!sig) {
       // Wait for more partials; a later arrival retries.
       ++updates_rejected_;
       m_rejected_.inc();
@@ -369,84 +380,70 @@ void SwitchRuntime::try_aggregate(sched::UpdateId id, const util::Bytes& digest)
                       config_.topo_index, static_cast<unsigned long long>(id));
       return;
     }
-    const sched::Update update = bucket.update;
-    pending_.erase(it2);
-    note_applied(id);
-    apply_update(update);
+    const Body body = std::move(b->body);
+    pending.erase(id);
+    done(body, std::move(*sig));
   });
+}
+
+bool SwitchRuntime::settled(sched::UpdateId id) const {
+  return applied_ids_.count(id) != 0 || accepted_.count(id) != 0 ||
+         innet_completed_.count(id) != 0;
 }
 
 // ---------------------------------------------------------------------------
 // In-network aggregation (P4BFT-style offload; DESIGN.md §16)
 // ---------------------------------------------------------------------------
 
-bool SwitchRuntime::replay_innet(sched::UpdateId id, sim::NodeId from) {
+bool SwitchRuntime::replay_innet(sched::UpdateId id) {
   const auto it = innet_completed_.find(id);
   if (it == innet_completed_.end()) return false;
   // The replica retransmitted because it never saw the target's ack —
   // resend the cached fan-out; the target's own dedupe then re-acks the
-  // whole control plane.  When the target is this switch, the apply-side
-  // dedupe in on_update/on_partial_share already re-acked.
-  if (it->second.target_topo == config_.topo_index) return true;
-  ++agg_replays_;
-  const util::Bytes wire = it->second.wire;
-  const sim::NodeId to = it->second.target_node;
-  (void)from;
-  if (obs::CritPath* cp = critpath()) {
-    cp->add_phase_bytes(obs::CritPhase::kRetransmit, wire.size());
+  // whole control plane.  A self-targeted update has no hop to replay
+  // (its duplicates are swallowed here, without a re-ack, until the id
+  // leaves the cache), and without a directory there is nowhere to send.
+  if (it->second.target_topo == config_.topo_index ||
+      it->second.target_node == sim::kInvalidNode) {
+    return true;
   }
-  net_.send(config_.node, to, wire);
+  ++agg_replays_;
+  send(it->second.target_node, it->second.wire, obs::CritPhase::kRetransmit);
   return true;
 }
 
-void SwitchRuntime::on_innet_body(sim::NodeId from, const UpdateMsg& m) {
-  if (replay_innet(m.update.id, from)) return;
-  if (applied_ids_.count(m.update.id) != 0) {
+void SwitchRuntime::on_innet_partial(sim::NodeId from, sched::UpdateId id,
+                                     const crypto::PartialSignature& partial,
+                                     const UpdateMsg* body, std::uint64_t share_digest) {
+  if (replay_innet(id)) return;
+  if (applied_ids_.count(id) != 0) {
     // Self-targeted update already applied (and evicted from the fan-out
     // cache, or applied via an escalated duplicate): plain re-ack.
-    re_ack(m.update.id, from);
+    send_ack(id, /*reissue=*/true, from);
     return;
   }
-  if (m.partial.signer == 0) return;  // in-network updates must carry a partial
-  const util::Bytes signing_bytes = update_signing_bytes(m.update);
-  const std::uint64_t digest = signing_digest64(signing_bytes);
-
-  InnetPending& p = innet_pending_[m.update.id];
-  InnetBucket& bucket = p.buckets[digest];
-  if (!bucket.has_body) {
-    bucket.has_body = true;
-    bucket.update = m.update;
-    bucket.cause = m.cause;
-    bucket.signing_bytes = signing_bytes;
+  if (partial.signer == 0) return;  // in-network traffic must carry a partial
+  std::uint64_t digest = share_digest;
+  util::Bytes signing_bytes;
+  AggregatedUpdateMsg out;
+  if (body != nullptr) {
+    signing_bytes = update_signing_bytes(body->update);
+    digest = signing_digest64(signing_bytes);
+    out = AggregatedUpdateMsg{body->update, body->cause, {}};
   }
-  bucket.partials[m.partial.signer] = m.partial;
-  if (p.buckets.size() > 1) report_innet_mismatch(m.update.id, p);
-  try_aggregate_innet(m.update.id, digest);
+  if (add_partial(innet_pending_, id, digest, partial, body != nullptr ? &out : nullptr,
+                  std::move(signing_bytes))) {
+    report_innet_mismatch(id);
+  }
+  try_aggregate(innet_pending_, id, digest, [this](AggregatedUpdateMsg agg, util::Bytes sig) {
+    agg.agg_sig = std::move(sig);
+    fan_out(std::move(agg));
+  });
 }
 
-void SwitchRuntime::on_partial_share(sim::NodeId from, const PartialShareMsg& m) {
-  if (down_) return;
-  if (config_.framework != FrameworkKind::kCiceroInNetwork) return;
-  if (replay_innet(m.update_id, from)) return;
-  if (applied_ids_.count(m.update_id) != 0) {
-    re_ack(m.update_id, from);
-    return;
-  }
-  if (m.partial.signer == 0) return;
-  InnetPending& p = innet_pending_[m.update_id];
-  InnetBucket& bucket = p.buckets[m.digest];
-  bucket.partials[m.partial.signer] = m.partial;
-  if (p.buckets.size() > 1) report_innet_mismatch(m.update_id, p);
-  try_aggregate_innet(m.update_id, m.digest);
-}
-
-void SwitchRuntime::report_innet_mismatch(sched::UpdateId id, InnetPending& pending) {
-  if (pending.mismatch_reported) return;
-  pending.mismatch_reported = true;
+void SwitchRuntime::report_innet_mismatch(sched::UpdateId id) {
   ++agg_mismatches_;
   m_agg_mismatches_.inc();
-  CICERO_LOG_WARN(kLog, "s%u: conflicting replica digests for update %llu",
-                  config_.topo_index, static_cast<unsigned long long>(id));
   // P4BFT-style response comparison: conflicting digests mean at least one
   // replica lied about this update.  Report through the signed-event path
   // so the control plane sees an authenticated, attributable alarm; the
@@ -454,116 +451,50 @@ void SwitchRuntime::report_innet_mismatch(sched::UpdateId id, InnetPending& pend
   Event e;
   e.id = EventId{config_.topo_index, ++event_seq_};
   e.kind = EventKind::kAggMismatch;
-  for (const auto& [digest, bucket] : pending.buckets) {
-    if (!bucket.has_body) continue;
-    e.match = bucket.update.rule.match;
+  for (const auto& [digest, bucket] : innet_pending_.at(id)) {
+    if (bucket.signing_bytes.empty()) continue;
+    e.match = bucket.body.update.rule.match;
     break;
   }
   emit_event(std::move(e));
 }
 
-void SwitchRuntime::try_aggregate_innet(sched::UpdateId id, std::uint64_t digest) {
-  auto it = innet_pending_.find(id);
-  if (it == innet_pending_.end()) return;
-  const auto bit = it->second.buckets.find(digest);
-  if (bit == it->second.buckets.end()) return;
-  InnetBucket& bucket = bit->second;
-  if (bucket.aggregating || !bucket.has_body || bucket.partials.size() < config_.quorum) {
+void SwitchRuntime::fan_out(AggregatedUpdateMsg out) {
+  const sched::UpdateId id = out.update.id;
+  const util::Bytes wire = out.encode();
+  // Cache the fan-out for idempotent replay; bounded like the apply-side
+  // dedupe window (retransmission windows are short).
+  const auto dir = config_.switch_directory;
+  const sim::NodeId target =
+      dir != nullptr && dir->count(out.update.switch_node) != 0
+          ? dir->at(out.update.switch_node)
+          : sim::kInvalidNode;
+  innet_completed_[id] = InnetCompleted{wire, out.update.switch_node, target};
+  innet_completed_order_.push_back(id);
+  while (innet_completed_order_.size() > config_.applied_dedupe_window) {
+    innet_completed_.erase(innet_completed_order_.front());
+    innet_completed_order_.pop_front();
+  }
+
+  ++agg_fanouts_;
+  m_agg_fanouts_.inc();
+  // The aggregate signature is born here, so the sign->propagate boundary
+  // of the update's critical path is stamped at this switch (the replicas
+  // deliberately do not stamp it in in-network mode).  The fan-out counts
+  // as propagate traffic even when no hop follows.
+  milestone(Milestone::kAggregated, id);
+  if (obs::CritPath* cp = critpath()) {
+    cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
+  }
+  if (out.update.switch_node == config_.topo_index) {
+    // The aggregator is itself the target: skip the network hop (and
+    // re-verifying a signature this switch just produced).
+    note_applied(id);
+    apply_update(out.update);
     return;
   }
-  bucket.aggregating = true;
-
-  // Same cost shape as switch-side aggregation: per-share Lagrange work
-  // plus one threshold verification of the fresh aggregate.
-  const sim::SimTime cost =
-      config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum) +
-      config_.costs.threshold_verify;
-  cpu_.execute(cost, "aggregate", [this, id, digest] {
-    if (down_) return;
-    auto it2 = innet_pending_.find(id);
-    if (it2 == innet_pending_.end()) return;
-    const auto bit2 = it2->second.buckets.find(digest);
-    if (bit2 == it2->second.buckets.end()) return;
-    InnetBucket& bucket = bit2->second;
-    bucket.aggregating = false;
-    if (innet_completed_.count(id) != 0 || applied_ids_.count(id) != 0) return;
-
-    util::Bytes agg_sig{0x00};  // cost-model placeholder (like kCiceroAgg)
-    bool valid = true;
-    if (config_.real_crypto) {
-      // Quorum-subset exclusion, exactly as try_aggregate: up to f bad
-      // partials among >= 2f+1 received cannot block the honest bucket.
-      const auto& scheme = crypto::SimBlsScheme::instance();
-      std::vector<crypto::PartialSignature> all;
-      all.reserve(bucket.partials.size());
-      for (const auto& [idx, part] : bucket.partials) all.push_back(part);
-      valid = false;
-      for (std::size_t skip = 0; skip <= all.size() && !valid; ++skip) {
-        std::vector<crypto::PartialSignature> subset;
-        for (std::size_t i = 0; i < all.size(); ++i) {
-          if (skip != 0 && i == skip - 1) continue;  // skip==0: no exclusion
-          subset.push_back(all[i]);
-        }
-        if (subset.size() < config_.quorum) continue;
-        const auto agg = scheme.aggregate(bucket.signing_bytes, subset, config_.quorum);
-        if (agg && scheme.verify(config_.group_pk, bucket.signing_bytes, *agg)) {
-          agg_sig = *agg;
-          valid = true;
-        }
-      }
-    }
-    if (!valid) {
-      ++updates_rejected_;
-      m_rejected_.inc();
-      CICERO_LOG_WARN(kLog, "s%u: in-network aggregate verification failed for update %llu",
-                      config_.topo_index, static_cast<unsigned long long>(id));
-      return;
-    }
-
-    AggregatedUpdateMsg out;
-    out.update = bucket.update;
-    out.cause = bucket.cause;
-    out.agg_sig = std::move(agg_sig);
-    const util::Bytes wire = out.encode();
-    innet_pending_.erase(it2);
-
-    // Cache the fan-out for idempotent replay; bounded like the apply-side
-    // dedupe window (retransmission windows are short).
-    const auto dir = config_.switch_directory;
-    const sim::NodeId target =
-        dir != nullptr && dir->count(out.update.switch_node) != 0
-            ? dir->at(out.update.switch_node)
-            : sim::kInvalidNode;
-    innet_completed_[id] = InnetCompleted{wire, out.update.switch_node, target};
-    innet_completed_order_.push_back(id);
-    while (innet_completed_order_.size() > config_.applied_dedupe_window) {
-      innet_completed_.erase(innet_completed_order_.front());
-      innet_completed_order_.pop_front();
-    }
-
-    ++agg_fanouts_;
-    m_agg_fanouts_.inc();
-    // The aggregate signature is born here, so the sign->propagate
-    // boundary of the update's critical path is stamped at this switch
-    // (the replicas deliberately do not stamp it in in-network mode).
-    if (obs::CritPath* cp = critpath()) {
-      cp->update_signed(id, sim_.now());
-      cp->add_phase_bytes(obs::CritPhase::kPropagate, wire.size());
-    }
-    if (tracing()) {
-      config_.obs->trace.flow_step("flow", flow_track_id(id), "update.agg_fanout",
-                                   config_.node, obs::kTidMain);
-    }
-    if (out.update.switch_node == config_.topo_index) {
-      // The aggregator is itself the target: skip the network hop (and
-      // re-verifying a signature this switch just produced).
-      note_applied(id);
-      apply_update(out.update);
-      return;
-    }
-    if (target == sim::kInvalidNode) return;  // no directory: nothing to fan out to
-    net_.send(config_.node, target, wire);
-  });
+  if (target == sim::kInvalidNode) return;  // no directory: nothing to fan out to
+  net_.send(config_.node, target, wire);
 }
 
 void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
@@ -573,15 +504,10 @@ void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
     // controller is still missing the ack, so the re-ack goes to the
     // whole control plane rather than just the aggregator.
     (void)from;
-    re_ack(m.update.id, sim::kInvalidNode);
+    send_ack(m.update.id, /*reissue=*/true);
     return;
   }
-  if (config_.obs != nullptr) first_rx_.emplace(m.update.id, sim_.now());
-  if (obs::CritPath* cp = critpath()) cp->update_rx(m.update.id, sim_.now());
-  if (tracing()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(m.update.id), "update.rx",
-                                 config_.node, obs::kTidMain);
-  }
+  milestone(Milestone::kRx, m.update.id);
   cpu_.execute(config_.costs.threshold_verify, "threshold.verify", [this, m] {
     if (down_) return;
     if (applied_ids_.count(m.update.id) != 0) return;
@@ -636,94 +562,24 @@ void SwitchRuntime::on_manifest(sim::NodeId from, const ManifestMsg& m) {
     const auto dec = dec_applied_.find(id);
     if (dec != dec_applied_.end()) {
       signal_successors(id, dec->second.succs, /*resignal=*/true);
-      if (dec->second.sink) re_ack(id, from);
+      if (dec->second.sink) send_ack(id, /*reissue=*/true, from);
     } else {
-      re_ack(id, from);
+      send_ack(id, /*reissue=*/true, from);
     }
     return;
   }
-  if (config_.obs != nullptr) first_rx_.emplace(id, sim_.now());
-  if (obs::CritPath* cp = critpath()) cp->update_rx(id, sim_.now());
-  if (tracing()) {
-    config_.obs->trace.flow_step("flow", flow_track_id(id), "update.rx", config_.node,
-                                 obs::kTidMain);
-  }
+  milestone(Milestone::kRx, id);
 
   // Identical-manifest counting, bucketed by the signed bytes (which pin
   // the segment's position in the chain, not just the rule).
   if (m.partial.signer == 0) return;  // manifests must carry a partial
-  const util::Bytes signing_bytes = manifest_signing_bytes(m.manifest, m.epoch);
-  const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
-  const util::Bytes digest(d.begin(), d.end());
-
-  PendingManifest& p = pending_manifests_[id];
-  ManifestBucket& bucket = p.buckets[digest];
-  if (bucket.partials.empty()) {
-    bucket.manifest = m.manifest;
-    bucket.signing_bytes = signing_bytes;
-  }
-  if (p.buckets.size() > 1) {
-    CICERO_LOG_WARN(kLog, "s%u: conflicting manifest bodies for id %llu", config_.topo_index,
-                    static_cast<unsigned long long>(id));
-  }
-  bucket.partials[m.partial.signer] = m.partial;
-  try_aggregate_manifest(id, digest);
-}
-
-void SwitchRuntime::try_aggregate_manifest(sched::UpdateId id, const util::Bytes& digest) {
-  auto it = pending_manifests_.find(id);
-  if (it == pending_manifests_.end()) return;
-  const auto bit = it->second.buckets.find(digest);
-  if (bit == it->second.buckets.end()) return;
-  ManifestBucket& bucket = bit->second;
-  if (bucket.aggregating || bucket.partials.size() < config_.quorum) return;
-  bucket.aggregating = true;
-
-  const sim::SimTime cost =
-      config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum) +
-      config_.costs.threshold_verify;
-  cpu_.execute(cost, "aggregate", [this, id, digest] {
-    if (down_) return;
-    auto it2 = pending_manifests_.find(id);
-    if (it2 == pending_manifests_.end()) return;
-    const auto bit2 = it2->second.buckets.find(digest);
-    if (bit2 == it2->second.buckets.end()) return;
-    ManifestBucket& bucket = bit2->second;
-    bucket.aggregating = false;
-    if (applied_ids_.count(id) != 0 || accepted_.count(id) != 0) return;
-
-    bool valid = true;
-    if (config_.real_crypto) {
-      // Same quorum-subset exclusion as updates: up to f bad partials
-      // among >= 2f+1 cannot block the honest bucket.
-      const auto& scheme = crypto::SimBlsScheme::instance();
-      std::vector<crypto::PartialSignature> all;
-      all.reserve(bucket.partials.size());
-      for (const auto& [idx, part] : bucket.partials) all.push_back(part);
-      valid = false;
-      for (std::size_t skip = 0; skip <= all.size() && !valid; ++skip) {
-        std::vector<crypto::PartialSignature> subset;
-        for (std::size_t i = 0; i < all.size(); ++i) {
-          if (skip != 0 && i == skip - 1) continue;  // skip==0: no exclusion
-          subset.push_back(all[i]);
-        }
-        if (subset.size() < config_.quorum) continue;
-        const auto agg = scheme.aggregate(bucket.signing_bytes, subset, config_.quorum);
-        if (agg && scheme.verify(config_.group_pk, bucket.signing_bytes, *agg)) valid = true;
-      }
-    }
-
-    if (!valid) {
-      ++updates_rejected_;
-      m_rejected_.inc();
-      CICERO_LOG_WARN(kLog, "s%u: manifest aggregate verification failed for update %llu",
-                      config_.topo_index, static_cast<unsigned long long>(id));
-      return;
-    }
-    const SegmentManifest manifest = bucket.manifest;
-    pending_manifests_.erase(it2);
-    accept_manifest(manifest);
-  });
+  util::Bytes signing_bytes = manifest_signing_bytes(m.manifest, m.epoch);
+  const crypto::Digest key = crypto::Sha256::hash(signing_bytes);
+  add_partial(pending_manifests_, id, key, m.partial, &m.manifest, std::move(signing_bytes));
+  try_aggregate(pending_manifests_, id, key,
+                [this](const SegmentManifest& manifest, const util::Bytes&) {
+                  accept_manifest(manifest);
+                });
 }
 
 void SwitchRuntime::accept_manifest(const SegmentManifest& manifest) {
@@ -761,7 +617,7 @@ void SwitchRuntime::maybe_apply_manifest(sched::UpdateId id) {
   accepted_.erase(it);
   note_applied(id);
   dec_applied_[id] = DecApplied{manifest.succs, manifest.sink};
-  if (obs::CritPath* cp = critpath()) cp->update_peer_ready(id, sim_.now());
+  milestone(Milestone::kPeerReady, id);
   apply_update(manifest.update);
 }
 
@@ -816,21 +672,14 @@ void SwitchRuntime::signal_successors(sched::UpdateId id,
     cpu_.execute(cost, "segdone.sign", [this, to, resignal, done = std::move(done)] {
       if (down_) return;
       ++peer_signals_sent_;
-      const util::Bytes wire = done.encode();
-      if (obs::CritPath* cp = critpath()) {
-        cp->add_phase_bytes(
-            resignal ? obs::CritPhase::kRetransmit : obs::CritPhase::kPeerSignal, wire.size());
-      }
-      net_.send(config_.node, to, wire);
+      send(to, done.encode(),
+           resignal ? obs::CritPhase::kRetransmit : obs::CritPhase::kPeerSignal);
     });
   }
 }
 
 void SwitchRuntime::apply_update(const sched::Update& update) {
-  if (tracing()) {
-    config_.obs->trace.async_begin("update", update_track_id(update.id), "apply",
-                                   config_.node, obs::kTidMain);
-  }
+  milestone(Milestone::kApplying, update.id);
   cpu_.execute(config_.costs.flow_table_update, "flow_table.update", [this, update] {
     if (down_) return;
     if (update.op == sched::UpdateOp::kInstall) {
@@ -841,53 +690,22 @@ void SwitchRuntime::apply_update(const sched::Update& update) {
     }
     ++updates_applied_;
     m_applied_.inc();
-    const auto rx = first_rx_.find(update.id);
-    if (rx != first_rx_.end()) {
-      update_apply_ms_.observe(sim::to_ms(sim_.now() - rx->second));
-      first_rx_.erase(rx);
-    }
-    if (obs::CritPath* cp = critpath()) cp->update_applied(update.id, sim_.now());
-    if (tracing()) {
-      config_.obs->trace.async_end("update", update_track_id(update.id), "apply",
-                                   config_.node, obs::kTidMain);
-      config_.obs->trace.flow_step("flow", flow_track_id(update.id), "update.applied",
-                                   config_.node, obs::kTidMain);
-    }
+    milestone(Milestone::kApplied, update.id);
     for (const auto& observer : observers_) observer(update);
     const auto dec = dec_applied_.find(update.id);
     if (dec != dec_applied_.end()) {
       // Decentralized: done signals flow in-band to the downstream peers;
       // only the chain sink acks the control plane (for its whole chain).
       signal_successors(update.id, dec->second.succs, /*resignal=*/false);
-      if (dec->second.sink) send_ack(update);
+      if (dec->second.sink) send_ack(update.id, /*reissue=*/false);
     } else {
-      send_ack(update);
+      send_ack(update.id, /*reissue=*/false);
     }
   });
 }
 
-void SwitchRuntime::send_ack(const sched::Update& update) {
-  AckMsg ack;
-  ack.update_id = update.id;
-  ack.switch_node = config_.topo_index;
-  const bool sign = is_threshold_signed(config_.framework);
-  if (sign && config_.real_crypto) {
-    ack.sig = crypto::schnorr_sign(config_.key, ack.body()).to_bytes();
-  }
-  const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
-  cpu_.execute(cost, "ack.sign", [this, ack = std::move(ack)] {
-    if (down_) return;
-    const util::Bytes wire = ack.encode();
-    if (obs::CritPath* cp = critpath()) {
-      cp->add_phase_bytes(obs::CritPhase::kPropagate,
-                          wire.size() * config_.controllers.size());
-    }
-    net_.multicast(config_.node, config_.controllers, wire);
-  });
-}
-
-void SwitchRuntime::re_ack(sched::UpdateId id, sim::NodeId to) {
-  ++acks_reissued_;
+void SwitchRuntime::send_ack(sched::UpdateId id, bool reissue, sim::NodeId to) {
+  if (reissue) ++acks_reissued_;
   AckMsg ack;
   ack.update_id = id;
   ack.switch_node = config_.topo_index;
@@ -896,20 +714,67 @@ void SwitchRuntime::re_ack(sched::UpdateId id, sim::NodeId to) {
     ack.sig = crypto::schnorr_sign(config_.key, ack.body()).to_bytes();
   }
   const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
-  cpu_.execute(cost, "ack.sign", [this, to, ack = std::move(ack)] {
+  cpu_.execute(cost, "ack.sign", [this, reissue, to, ack = std::move(ack)] {
     if (down_) return;
-    const util::Bytes wire = ack.encode();
-    if (obs::CritPath* cp = critpath()) {
-      const std::size_t copies =
-          to == sim::kInvalidNode ? config_.controllers.size() : 1;
-      cp->add_phase_bytes(obs::CritPhase::kRetransmit, wire.size() * copies);
-    }
-    if (to == sim::kInvalidNode) {
-      net_.multicast(config_.node, config_.controllers, wire);
-    } else {
-      net_.send(config_.node, to, wire);
-    }
+    send(to, ack.encode(), reissue ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate);
   });
+}
+
+void SwitchRuntime::send(sim::NodeId to, const util::Bytes& wire, obs::CritPhase phase) {
+  const bool multicast = to == sim::kInvalidNode;
+  if (obs::CritPath* cp = critpath()) {
+    cp->add_phase_bytes(phase, wire.size() * (multicast ? config_.controllers.size() : 1));
+  }
+  if (multicast) {
+    net_.multicast(config_.node, config_.controllers, wire);
+  } else {
+    net_.send(config_.node, to, wire);
+  }
+}
+
+void SwitchRuntime::milestone(Milestone m, sched::UpdateId id) {
+  const sim::SimTime now = sim_.now();
+  obs::CritPath* cp = critpath();
+  obs::Tracer* trace = tracing() ? &config_.obs->trace : nullptr;
+  const auto flow_step = [&](const char* name) {
+    if (trace != nullptr) {
+      trace->flow_step("flow", obs::flow_track_id(id), name, config_.node, obs::kTidMain);
+    }
+  };
+  switch (m) {
+    case Milestone::kRx:
+      if (config_.obs != nullptr) first_rx_.emplace(id, now);
+      if (cp != nullptr) cp->update_rx(id, now);
+      flow_step("update.rx");
+      break;
+    case Milestone::kAggregated:
+      if (cp != nullptr) cp->update_signed(id, now);
+      flow_step("update.agg_fanout");
+      break;
+    case Milestone::kPeerReady:
+      if (cp != nullptr) cp->update_peer_ready(id, now);
+      break;
+    case Milestone::kApplying:
+      if (trace != nullptr) {
+        trace->async_begin("update", obs::update_track_id(config_.domain, id), "apply",
+                           config_.node, obs::kTidMain);
+      }
+      break;
+    case Milestone::kApplied: {
+      const auto rx = first_rx_.find(id);
+      if (rx != first_rx_.end()) {
+        update_apply_ms_.observe(sim::to_ms(now - rx->second));
+        first_rx_.erase(rx);
+      }
+      if (cp != nullptr) cp->update_applied(id, now);
+      if (trace != nullptr) {
+        trace->async_end("update", obs::update_track_id(config_.domain, id), "apply",
+                         config_.node, obs::kTidMain);
+      }
+      flow_step("update.applied");
+      break;
+    }
+  }
 }
 
 }  // namespace cicero::core

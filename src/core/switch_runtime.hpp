@@ -24,6 +24,7 @@
 #include "core/framework.hpp"
 #include "core/messages.hpp"
 #include "core/pki.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/simbls.hpp"
 #include "net/flow_table.hpp"
 #include "obs/obs.hpp"
@@ -142,33 +143,28 @@ class SwitchRuntime {
   std::size_t applied_dedupe_size() const { return applied_ids_.size(); }
 
  private:
-  // Identical-update counting (Fig. 6b): partials are bucketed by the
-  // update body they sign, so a Byzantine controller racing a corrupted
-  // body ahead of the honest copies can never block the honest quorum's
-  // bucket (nor merge with it).
+  // Identical-update counting (Fig. 6b), shared by every quorum path:
+  // partials are bucketed by the body they sign, so a Byzantine controller
+  // racing a corrupted body ahead of the honest copies can never block the
+  // honest quorum's bucket (nor merge with it).  `Body` is what the path's
+  // completion step consumes.  In-network buckets can collect compact
+  // shares before any body arrives; an empty `signing_bytes` means "no body
+  // yet".
+  template <class Body>
   struct Bucket {
-    sched::Update update;
+    Body body;
     util::Bytes signing_bytes;
     std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
     bool aggregating = false;
   };
-  struct Pending {
-    std::map<util::Bytes, Bucket> buckets;  ///< body digest -> bucket
-  };
+  /// update id -> body key -> bucket.  Update and manifest buckets are
+  /// keyed by the SHA-256 of the signing bytes, in-network buckets by the
+  /// 64-bit digest a PartialShareMsg carries.
+  template <class Key, class Body>
+  using Buckets = std::map<sched::UpdateId, std::map<Key, Bucket<Body>>>;
 
-  // Decentralized mode (DESIGN.md §15).  Manifest copies aggregate exactly
-  // like updates (digest-bucketed quorum under kCicero, first copy for the
-  // baselines); an accepted manifest then waits locally until every listed
-  // predecessor has signaled SegmentDone.
-  struct ManifestBucket {
-    SegmentManifest manifest;
-    util::Bytes signing_bytes;
-    std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
-    bool aggregating = false;
-  };
-  struct PendingManifest {
-    std::map<util::Bytes, ManifestBucket> buckets;  ///< body digest -> bucket
-  };
+  // Decentralized mode (DESIGN.md §15): an accepted manifest waits locally
+  // until every listed predecessor has signaled SegmentDone.
   struct AcceptedManifest {
     SegmentManifest manifest;
     std::set<sched::UpdateId> done_preds;  ///< SegmentDones received so far
@@ -181,29 +177,24 @@ class SwitchRuntime {
     bool sink = false;
   };
 
-  // In-network aggregation (DESIGN.md §16): the designated aggregator
-  // buffers one full body (from the lowest-ranked replica) plus compact
-  // partial shares, bucketed by the truncated digest of the canonical
-  // signing bytes so conflicting replica responses can never merge.
-  struct InnetBucket {
-    bool has_body = false;
-    sched::Update update;
-    EventId cause;
-    util::Bytes signing_bytes;
-    std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
-    bool aggregating = false;
-  };
-  struct InnetPending {
-    std::map<std::uint64_t, InnetBucket> buckets;  ///< truncated digest -> bucket
-    bool mismatch_reported = false;
-  };
-  /// Completed aggregation, cached for idempotent replay while the id
-  /// stays inside the dedupe window (a replica retransmitting means the
-  /// target's ack got lost — resend the fan-out, not a fresh aggregate).
+  /// In-network aggregation (DESIGN.md §16): completed aggregation, cached
+  /// for idempotent replay while the id stays inside the dedupe window (a
+  /// replica retransmitting means the target's ack got lost — resend the
+  /// fan-out, not a fresh aggregate).
   struct InnetCompleted {
     util::Bytes wire;  ///< encoded AggregatedUpdateMsg
     net::NodeIndex target_topo = net::kNoNode;
     sim::NodeId target_node = sim::kInvalidNode;
+  };
+
+  /// Update lifecycle points stamped at the switch, each recorded on the
+  /// critical-path profiler and as its trace event.
+  enum class Milestone : std::uint8_t {
+    kRx,          ///< first copy received
+    kAggregated,  ///< in-network aggregate born here (sign -> propagate)
+    kPeerReady,   ///< last upstream SegmentDone accepted
+    kApplying,    ///< flow-table write queued
+    kApplied,     ///< rule committed
   };
 
   void emit_event(Event e);
@@ -211,21 +202,39 @@ class SwitchRuntime {
                          std::uint32_t retries_left);
   void on_update(sim::NodeId from, const UpdateMsg& m);
   void on_agg_update(sim::NodeId from, const AggUpdateMsg& m);
-  /// Aggregator role: a full update body from a replica (in-network mode).
-  void on_innet_body(sim::NodeId from, const UpdateMsg& m);
-  /// Aggregator role: a compact partial share from a replica.
-  void on_partial_share(sim::NodeId from, const PartialShareMsg& m);
-  /// Quorum check + aggregate + fan-out for one digest bucket.
-  void try_aggregate_innet(sched::UpdateId id, std::uint64_t digest);
+  /// Aggregator role (in-network mode): one replica's partial, arriving
+  /// with the full update body (`body`) or as a compact share keyed by
+  /// `share_digest`.
+  void on_innet_partial(sim::NodeId from, sched::UpdateId id,
+                        const crypto::PartialSignature& partial, const UpdateMsg* body,
+                        std::uint64_t share_digest);
+  /// Files `partial` into the bucket for `key`, storing `body` and its
+  /// signing bytes if the bucket has no body yet (`body` may be null).
+  /// Returns true when this opened a second, conflicting bucket for `id`.
+  template <class Key, class Body>
+  bool add_partial(Buckets<Key, Body>& pending, sched::UpdateId id, const Key& key,
+                   const crypto::PartialSignature& partial, const Body* body,
+                   util::Bytes signing_bytes);
+  /// Once the bucket holds a body and a quorum: charges aggregation plus
+  /// one threshold verification, then aggregates with quorum-subset
+  /// exclusion.  On success the id's buckets are dropped and `done(body,
+  /// aggregate_signature)` runs; on failure the bucket waits for more
+  /// partials.
+  template <class Key, class Body, class Done>
+  void try_aggregate(Buckets<Key, Body>& pending, sched::UpdateId id, const Key& key,
+                     Done done);
+  /// True once `id` was applied, accepted (decentralized) or fanned out
+  /// (in-network): a late quorum for it is a no-op.
+  bool settled(sched::UpdateId id) const;
+  /// In-network completion: cache and fan out the aggregated update.
+  void fan_out(AggregatedUpdateMsg out);
   /// Replays the cached fan-out for a duplicate of a completed id; returns
   /// false when the id is not in the completed cache.
-  bool replay_innet(sched::UpdateId id, sim::NodeId from);
+  bool replay_innet(sched::UpdateId id);
   /// One signed kAggMismatch event per update id with conflicting buckets.
-  void report_innet_mismatch(sched::UpdateId id, InnetPending& pending);
+  void report_innet_mismatch(sched::UpdateId id);
   void on_aggregator_notify(const AggregatorNotifyMsg& m);
-  void try_aggregate(sched::UpdateId id, const util::Bytes& digest);
   void on_manifest(sim::NodeId from, const ManifestMsg& m);
-  void try_aggregate_manifest(sched::UpdateId id, const util::Bytes& digest);
   /// Switch-local verification gate + dependency wait entry.
   void accept_manifest(const SegmentManifest& manifest);
   /// Applies an accepted manifest once every predecessor has signaled.
@@ -237,10 +246,15 @@ class SwitchRuntime {
   /// Duplicate-suppression with a bounded memory (Config::applied_dedupe_window).
   void note_applied(sched::UpdateId id);
   void apply_update(const sched::Update& update);
-  void send_ack(const sched::Update& update);
-  /// Unicast re-ack of an already-applied update to the sender of a
-  /// duplicate copy (idempotent retransmission handling, §5.1).
-  void re_ack(sched::UpdateId id, sim::NodeId to);
+  /// Signs and sends the ack for `id`: to the whole control plane, or —
+  /// for a re-ack of an already-applied update's duplicate copy (§5.1
+  /// idempotence) — to `to` when it names a single sender.
+  void send_ack(sched::UpdateId id, bool reissue, sim::NodeId to = sim::kInvalidNode);
+  /// The switch's protocol send: counts the bytes toward `phase` of the
+  /// critical path, then unicasts to `to` or, for sim::kInvalidNode,
+  /// multicasts to the control plane.
+  void send(sim::NodeId to, const util::Bytes& wire, obs::CritPhase phase);
+  void milestone(Milestone m, sched::UpdateId id);
 
   sim::Simulator& sim_;
   sim::NetworkSim& net_;
@@ -250,7 +264,7 @@ class SwitchRuntime {
   std::vector<AppliedFn> observers_;
 
   std::uint64_t event_seq_ = 0;
-  std::map<sched::UpdateId, Pending> pending_;
+  Buckets<crypto::Digest, sched::Update> pending_;
   /// Bounded dedupe set: `applied_ids_` for membership, `applied_order_`
   /// (insertion order) to retire the oldest id past the window.
   std::set<sched::UpdateId> applied_ids_;
@@ -268,12 +282,12 @@ class SwitchRuntime {
   std::uint64_t agg_mismatches_ = 0;
 
   // In-network aggregation state (aggregator role only).
-  std::map<sched::UpdateId, InnetPending> innet_pending_;
+  Buckets<std::uint64_t, AggregatedUpdateMsg> innet_pending_;
   std::map<sched::UpdateId, InnetCompleted> innet_completed_;
   std::deque<sched::UpdateId> innet_completed_order_;
 
   // Decentralized mode state.
-  std::map<sched::UpdateId, PendingManifest> pending_manifests_;
+  Buckets<crypto::Digest, SegmentManifest> pending_manifests_;
   std::map<sched::UpdateId, AcceptedManifest> accepted_;
   /// SegmentDones that raced ahead of their manifest: for_update -> preds
   /// already done.  Bounded by the dedupe window against abandoned chains.
@@ -293,13 +307,7 @@ class SwitchRuntime {
   // "apply" phase of the update lifecycle track — and the rx/applied
   // critical-path milestones — are emitted here.
   bool tracing() const;
-  std::string update_track_id(sched::UpdateId id) const;
   obs::CritPath* critpath() const;
-  /// Flow-event track shared with the controllers (globally unique: update
-  /// ids are partitioned across domains via update_id_base).
-  static std::string flow_track_id(sched::UpdateId id) {
-    return "u:" + std::to_string(id);
-  }
   obs::Counter m_events_;
   obs::Counter m_applied_;
   obs::Counter m_rejected_;

@@ -13,6 +13,8 @@
 //   kTidNet    network send/receive markers
 #pragma once
 
+#include <string>
+
 #include "obs/critpath.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,6 +25,15 @@ inline constexpr TraceTid kTidMain = 0;
 inline constexpr TraceTid kTidBft = 1;
 inline constexpr TraceTid kTidCrypto = 2;
 inline constexpr TraceTid kTidNet = 3;
+
+/// Async lifecycle track of one update within its domain: "u:<domain>:<id>".
+inline std::string update_track_id(std::uint32_t domain, std::uint64_t id) {
+  return "u:" + std::to_string(domain) + ":" + std::to_string(id);
+}
+/// Flow-arrow track of one update, shared by its controllers and switches:
+/// "u:<id>" (update ids are unique deployment-wide, see
+/// sched::update_id_base).
+inline std::string flow_track_id(std::uint64_t id) { return "u:" + std::to_string(id); }
 
 struct Observability {
   explicit Observability(bool metrics_enabled = true, bool trace_enabled = false)

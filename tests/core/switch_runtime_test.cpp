@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/pki.hpp"
 #include "crypto/dkg.hpp"
 
@@ -137,6 +140,117 @@ TEST_F(SwitchRuntimeTest, ConflictingBodiesBucketSeparately) {
   EXPECT_EQ(rt_->updates_applied(), 1u);
   EXPECT_EQ(rt_->table().lookup({100, 200})->next_hop, 9u);  // honest rule won
 }
+
+// ---------------------------------------------------------------------------
+// The shared quorum bucket, driven through each of its three inputs
+// ---------------------------------------------------------------------------
+
+/// Which message carries partials into the switch's quorum buckets.
+enum class QuorumPath {
+  kUpdate,     ///< UpdateMsg copies (kCicero)
+  kManifest,   ///< ManifestMsg copies (decentralized execution)
+  kInNetwork,  ///< one UpdateMsg body plus PartialShareMsgs (aggregator switch)
+};
+
+class QuorumPathTest : public SwitchRuntimeTest,
+                       public ::testing::WithParamInterface<QuorumPath> {
+ protected:
+  void SetUp() override {
+    SwitchRuntimeTest::SetUp();
+    if (GetParam() == QuorumPath::kInNetwork) {
+      // The aggregator is itself the target (switch 7): it applies locally.
+      rebuild([](SwitchRuntime::Config& cfg) { cfg.framework = FrameworkKind::kCiceroInNetwork; });
+    }
+  }
+
+  /// Sends share-holder `signer_pos`'s copy of `u`.  A forged copy carries
+  /// a well-formed partial over other bytes.  In-network, the first copy
+  /// of each body travels in full and later copies as compact shares.
+  void send_copy(const sched::Update& u, std::size_t signer_pos, bool forged = false) {
+    const auto& scheme = crypto::SimBlsScheme::instance();
+    const auto& share = results_[signer_pos].share;
+    const auto sign = [&](const util::Bytes& bytes) {
+      return scheme.partial_sign(share, forged ? util::Bytes{0x66} : bytes);
+    };
+    util::Bytes wire;
+    if (GetParam() == QuorumPath::kManifest) {
+      ManifestMsg m;
+      m.manifest.update = u;
+      m.manifest.sink = true;
+      m.cause = EventId{7, 1};
+      m.partial = sign(manifest_signing_bytes(m.manifest, m.epoch));
+      wire = m.encode();
+    } else {
+      const util::Bytes bytes = update_signing_bytes(u);
+      const std::uint64_t digest = signing_digest64(bytes);
+      if (GetParam() == QuorumPath::kInNetwork && !bodies_sent_.insert(digest).second) {
+        PartialShareMsg m;
+        m.update_id = u.id;
+        m.digest = digest;
+        m.partial = sign(bytes);
+        wire = m.encode();
+      } else {
+        UpdateMsg m;
+        m.update = u;
+        m.cause = EventId{7, 1};
+        m.partial = sign(bytes);
+        wire = m.encode();
+      }
+    }
+    net_->send(ctrl_nodes_[signer_pos], switch_node_, wire);
+    sim_.run_until(sim_.now() + sim::milliseconds(50));
+  }
+
+  std::set<std::uint64_t> bodies_sent_;
+};
+
+std::string quorum_path_name(const ::testing::TestParamInfo<QuorumPath>& info) {
+  switch (info.param) {
+    case QuorumPath::kUpdate:
+      return "Update";
+    case QuorumPath::kManifest:
+      return "Manifest";
+    case QuorumPath::kInNetwork:
+      return "InNetwork";
+  }
+  return "";
+}
+
+// ConflictingBodiesBucketSeparately above covers the update path.
+class ConflictingBodyPaths : public QuorumPathTest {};
+
+TEST_P(ConflictingBodyPaths, BucketSeparately) {
+  send_copy(make_update(1, /*next_hop=*/8), 0);  // corrupt body
+  send_copy(make_update(1), 1);
+  EXPECT_EQ(rt_->updates_applied(), 0u);
+  send_copy(make_update(1), 2);
+  EXPECT_EQ(rt_->updates_applied(), 1u);
+  EXPECT_EQ(rt_->table().lookup({100, 200})->next_hop, 9u);  // honest rule won
+  if (GetParam() == QuorumPath::kInNetwork) EXPECT_EQ(rt_->agg_mismatches(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(QuorumBucket, ConflictingBodyPaths,
+                         ::testing::Values(QuorumPath::kManifest, QuorumPath::kInNetwork),
+                         quorum_path_name);
+
+class ForgedPartialPaths : public QuorumPathTest {};
+
+TEST_P(ForgedPartialPaths, ExcludedAmongQuorumPlusOne) {
+  // quorum + 1 partials, one forged: the first aggregate attempt fails,
+  // the next arrival's subset exclusion drops the forgery.
+  send_copy(make_update(1), 0);
+  send_copy(make_update(1), 1, /*forged=*/true);
+  EXPECT_EQ(rt_->updates_applied(), 0u);
+  EXPECT_EQ(rt_->updates_rejected(), 1u);
+  send_copy(make_update(1), 2);
+  EXPECT_EQ(rt_->updates_applied(), 1u);
+  EXPECT_TRUE(rt_->table().has({100, 200}));
+}
+
+INSTANTIATE_TEST_SUITE_P(QuorumBucket, ForgedPartialPaths,
+                         ::testing::Values(QuorumPath::kUpdate, QuorumPath::kManifest,
+                                           QuorumPath::kInNetwork),
+                         quorum_path_name);
 
 TEST_F(SwitchRuntimeTest, AppliedUpdateIsIdempotent) {
   const auto u = make_update(1);

@@ -39,6 +39,17 @@ TEST(FrostBackend, RequiresControllerAggregation) {
 
 TEST(FrostBackend, FlowsCompleteWithRealSignatures) {
   auto dep = frost_deployment();
+  // Wire size of the aggregated update each applied update arrived in.
+  const std::size_t sig_bytes =
+      crypto::FrostSignature{crypto::Point::mul_gen(crypto::Scalar::one()), crypto::Scalar::one()}
+          .to_bytes()
+          .size();
+  std::uint64_t aggregated_bytes = 0;
+  for (const auto sw : dep->topology().switches()) {
+    dep->switch_at(sw).add_applied_observer([&](const sched::Update& u) {
+      aggregated_bytes += core::AggUpdateMsg{u, {}, util::Bytes(sig_bytes)}.encode().size();
+    });
+  }
   const auto flows = small_workload(dep->topology(), 20);
   dep->inject(flows);
   dep->run(sim::seconds(20));
@@ -51,6 +62,10 @@ TEST(FrostBackend, FlowsCompleteWithRealSignatures) {
   }
   EXPECT_GT(applied, 0u);
   EXPECT_EQ(rejected, 0u);
+  // The aggregator's controller -> switch sends are southbound traffic.
+  std::uint64_t southbound = 0;
+  for (const auto id : dep->controller_ids()) southbound += dep->controller(id).southbound_bytes();
+  EXPECT_GE(southbound, aggregated_bytes);
 }
 
 TEST(FrostBackend, SlowerThanSimBls) {

@@ -3,7 +3,10 @@
 // subsystem counters, and its run report must serialize every section.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "core/deployment.hpp"
 #include "integration/helpers.hpp"
@@ -106,6 +109,116 @@ TEST(ObsIntegration, RunReportRoundTrip) {
   EXPECT_NE(json.find("\"cpu.queue_wait_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"completion_ms\""), std::string::npos);
 }
+
+// ---------------------------------------------------------------------------
+// Lifecycle trace on every update path
+// ---------------------------------------------------------------------------
+
+struct TracedPath {
+  const char* label;
+  core::FrameworkKind framework;
+  core::ThresholdBackend backend;
+  /// Expected "ph cat name count" lines, sorted, for every async, flow and
+  /// instant event of the run below.
+  const char* counts;
+};
+
+/// The string value of `"key":"..."` on one serialized trace event, or "".
+std::string json_field(const std::string& line, const std::string& key) {
+  const std::string open = "\"" + key + "\":\"";
+  const auto at = line.find(open);
+  if (at == std::string::npos) return "";
+  const auto begin = at + open.size();
+  return line.substr(begin, line.find('"', begin) - begin);
+}
+
+using core::FrameworkKind;
+using core::ThresholdBackend;
+
+class TraceLifecycle : public ::testing::TestWithParam<TracedPath> {};
+
+TEST_P(TraceLifecycle, SpansPairAndEventCountsAreStable) {
+  const TracedPath& path = GetParam();
+  core::DeploymentParams dp;
+  dp.framework = path.framework;
+  dp.backend = path.backend;
+  dp.controllers_per_domain = 4;
+  dp.real_crypto = false;
+  dp.seed = 12345;
+  dp.trace = true;
+  core::Deployment dep(net::build_pod(testing::small_pod()), dp);
+  const auto flows = testing::small_workload(dep.topology(), 20);
+  dep.inject(flows);
+  dep.run(sim::seconds(20));
+  ASSERT_EQ(testing::completed_count(dep), flows.size());
+
+  std::ostringstream os;
+  dep.obs().trace.write_chrome_trace(os);
+  std::istringstream lines(os.str());
+  // tools/obs/check_obs.py pairing rules, made strict: every async begin
+  // is closed by the end of the run, and no flow finishes unstarted.
+  std::map<std::pair<std::string, std::string>, int> open_spans;
+  std::set<std::pair<std::string, std::string>> flows_started;
+  std::map<std::string, int> counts;
+  for (std::string line; std::getline(lines, line);) {
+    const std::string ph = json_field(line, "ph");
+    if (ph != "b" && ph != "e" && ph != "s" && ph != "t" && ph != "f" && ph != "i") continue;
+    const std::string cat = json_field(line, "cat");
+    const auto track = std::make_pair(cat, json_field(line, "id"));
+    if (ph == "b") ++open_spans[track];
+    if (ph == "e") EXPECT_GE(--open_spans[track], 0) << "end without begin: " << line;
+    if (ph == "s") flows_started.insert(track);
+    if (ph == "f") EXPECT_EQ(flows_started.count(track), 1u) << "finish without start: " << line;
+    ++counts[ph + " " + (cat.empty() ? "-" : cat) + " " + json_field(line, "name")];
+  }
+  for (const auto& [track, depth] : open_spans) {
+    EXPECT_EQ(depth, 0) << "unclosed span " << track.first << " " << track.second;
+  }
+  std::string actual;
+  for (const auto& [key, n] : counts) actual += key + " " + std::to_string(n) + "\n";
+  EXPECT_EQ(actual, path.counts);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    UpdatePaths, TraceLifecycle,
+    ::testing::Values(
+        TracedPath{"Centralized", FrameworkKind::kCentralized, ThresholdBackend::kSimBls,
+            "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
+            "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
+            "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
+            "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
+        TracedPath{"CrashTolerant", FrameworkKind::kCrashTolerant, ThresholdBackend::kSimBls,
+            "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
+            "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
+            "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
+            "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
+        TracedPath{"Cicero", FrameworkKind::kCicero, ThresholdBackend::kSimBls,
+            "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
+            "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
+            "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
+            "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 140\n"},
+        TracedPath{"CiceroAgg", FrameworkKind::kCiceroAgg, ThresholdBackend::kSimBls,
+            "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
+            "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
+            "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
+            "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
+        TracedPath{"CiceroAggFrost", FrameworkKind::kCiceroAgg, ThresholdBackend::kFrost,
+            "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
+            "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
+            "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
+            "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
+        TracedPath{"CiceroInNetwork", FrameworkKind::kCiceroInNetwork, ThresholdBackend::kSimBls,
+            "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
+            "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
+            "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
+            "s flow update.send 35\n" "t flow update.agg_fanout 35\n" "t flow update.applied 35\n"
+            "t flow update.rx 25\n"},
+        TracedPath{"CiceroDecentralized", FrameworkKind::kCiceroDecentralized,
+                   ThresholdBackend::kSimBls,
+            "b event order 15\n" "b update apply 35\n" "b update update 35\n" "e event order 15\n"
+            "e update apply 35\n" "e update update 35\n" "f flow update.ack 15\n"
+            "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 140\n"}),
+    [](const ::testing::TestParamInfo<TracedPath>& info) { return info.param.label; });
 
 }  // namespace
 }  // namespace cicero
