@@ -81,7 +81,12 @@ std::optional<std::pair<BftMessage, util::Bytes>> BftMessage::decode(const util:
       rr.expect_end();
     }
     m.last_delivered = r.u64();
+    // Every entry is at least a u64 seq and a u32 length prefix, so a
+    // count the remaining input cannot hold is rejected before any entry
+    // is parsed or allocated.
+    constexpr std::size_t kMinEntryBytes = 8 + 4;
     const std::uint32_t n_prepared = r.u32();
+    if (n_prepared > r.remaining() / kMinEntryBytes) return std::nullopt;
     for (std::uint32_t i = 0; i < n_prepared; ++i) {
       PreparedEntry e;
       e.seq = r.u64();
@@ -92,11 +97,18 @@ std::optional<std::pair<BftMessage, util::Bytes>> BftMessage::decode(const util:
       m.prepared.push_back(std::move(e));
     }
     const std::uint32_t n_entries = r.u32();
+    if (n_entries > r.remaining() / kMinEntryBytes) return std::nullopt;
     for (std::uint32_t i = 0; i < n_entries; ++i) {
       const SeqNum s = r.u64();
+      // Strictly ascending seqs, the only order the encoder writes: a
+      // duplicate cannot silently replace an entry, and every accepted
+      // frame re-encodes to its own bytes.
+      if (!m.new_view_entries.empty() && s <= m.new_view_entries.rbegin()->first) {
+        return std::nullopt;
+      }
       const util::Bytes req_bytes = r.bytes();
       util::Reader rr(req_bytes);
-      m.new_view_entries[s] = BftRequest::decode(rr);
+      m.new_view_entries.emplace_hint(m.new_view_entries.end(), s, BftRequest::decode(rr));
       rr.expect_end();
     }
     m.new_view_next_seq = r.u64();

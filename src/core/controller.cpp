@@ -47,7 +47,7 @@ bft::PbftKeys make_pbft_keys(const Controller::Config& c) {
 Controller::Controller(sim::Simulator& simulator, sim::NetworkSim& network, Config config,
                        Environment env)
     : sim_(simulator), net_(network), config_(std::move(config)), env_(std::move(env)),
-      cpu_(simulator) {
+      cpu_(simulator), audit_(env_.sign_pool) {
   if (config_.backend == ThresholdBackend::kFrost && config_.real_crypto) {
     frost_signer_ = std::make_unique<crypto::FrostSigner>(config_.share, config_.group_pk);
     nonce_drbg_ = std::make_unique<crypto::Drbg>(config_.nonce_seed ^ 0xF057ull);

@@ -109,6 +109,8 @@ class Controller {
     std::map<net::NodeIndex, sim::NodeId> switch_nodes;
     /// domain -> that domain's control-plane members (for forwarding).
     std::map<net::DomainId, std::vector<MemberInfo>> domain_directory;
+    /// Host workers for the audit log's signatures; null signs inline.
+    SignPool* sign_pool = nullptr;
   };
 
   /// Fired when a membership event (add/remove) is delivered by the

@@ -190,7 +190,8 @@ void Deployment::build_nodes() {
     for (const std::uint32_t id : plane.member_ids) {
       auto ctrl = std::make_unique<Controller>(
           sim_for_domain(dom), *net_, member_config(plane, id),
-          Controller::Environment{&topo_, &scheduler_, &pki_, switch_nodes_, directory});
+          Controller::Environment{&topo_, &scheduler_, &pki_, switch_nodes_, directory,
+                                  &sign_pool_});
       ctrl->set_on_membership(
           [this, dom](const Event& e) { on_membership_event(dom, e); });
       controllers_[id] = std::move(ctrl);
@@ -586,9 +587,11 @@ void Deployment::run(sim::SimTime horizon) {
   if (psim_ != nullptr) {
     psim_->run_until(horizon);
     merge_shard_metrics();
-    return;
+  } else {
+    sim_.run_until(horizon);
   }
-  sim_.run_until(horizon);
+  // No audit signature outlives the run that produced it.
+  for (const auto& [id, ctrl] : controllers_) ctrl->audit().drain();
 }
 
 void Deployment::merge_shard_metrics() {
@@ -839,7 +842,8 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
         for (const auto& [dd, pp] : planes_) directory[dd] = member_infos(pp);
         auto ctrl = std::make_unique<Controller>(
             sim_, *net_, member_config(pl, id),
-            Controller::Environment{&topo_, &scheduler_, &pki_, switch_nodes_, directory});
+            Controller::Environment{&topo_, &scheduler_, &pki_, switch_nodes_, directory,
+                                  &sign_pool_});
         ctrl->set_on_membership(
             [this, domain](const Event& ev) { on_membership_event(domain, ev); });
         controllers_[id] = std::move(ctrl);

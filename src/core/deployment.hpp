@@ -101,7 +101,8 @@ class Deployment {
   // --- workload driving ---
   /// Schedules all flows for injection at their arrival times.
   void inject(const std::vector<workload::Flow>& flows);
-  /// Runs the simulation until quiescent or `horizon`.
+  /// Runs the simulation until quiescent or `horizon`, then waits for
+  /// every controller's outstanding audit signatures.
   void run(sim::SimTime horizon = sim::seconds(600));
 
   // --- accessors ---
@@ -258,6 +259,9 @@ class Deployment {
 
   std::map<net::NodeIndex, std::unique_ptr<SwitchRuntime>> switches_;
   std::map<net::NodeIndex, sim::NodeId> switch_nodes_;
+  /// Signs the controllers' audit logs off the event loop; declared
+  /// before controllers_ so it outlives every log that submits to it.
+  SignPool sign_pool_;
   std::map<std::uint32_t, std::unique_ptr<Controller>> controllers_;
   std::map<std::uint32_t, crypto::SecretShare> shares_;
   std::map<std::uint32_t, crypto::SchnorrKeyPair> ctrl_keys_;

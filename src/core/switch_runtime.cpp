@@ -395,18 +395,19 @@ bool SwitchRuntime::settled(sched::UpdateId id) const {
 // In-network aggregation (P4BFT-style offload; DESIGN.md §16)
 // ---------------------------------------------------------------------------
 
-bool SwitchRuntime::replay_innet(sched::UpdateId id) {
+bool SwitchRuntime::replay_innet(sched::UpdateId id, sim::NodeId from) {
   const auto it = innet_completed_.find(id);
   if (it == innet_completed_.end()) return false;
   // The replica retransmitted because it never saw the target's ack —
   // resend the cached fan-out; the target's own dedupe then re-acks the
-  // whole control plane.  A self-targeted update has no hop to replay
-  // (its duplicates are swallowed here, without a re-ack, until the id
-  // leaves the cache), and without a directory there is nowhere to send.
-  if (it->second.target_topo == config_.topo_index ||
-      it->second.target_node == sim::kInvalidNode) {
+  // whole control plane.  A self-targeted update has no hop to replay:
+  // this switch applied it at fan-out, so it re-acks the replica itself.
+  // Without a directory there is nowhere to send.
+  if (it->second.target_topo == config_.topo_index) {
+    send_ack(id, /*reissue=*/true, from);
     return true;
   }
+  if (it->second.target_node == sim::kInvalidNode) return true;
   ++agg_replays_;
   send(it->second.target_node, it->second.wire, obs::CritPhase::kRetransmit);
   return true;
@@ -415,7 +416,7 @@ bool SwitchRuntime::replay_innet(sched::UpdateId id) {
 void SwitchRuntime::on_innet_partial(sim::NodeId from, sched::UpdateId id,
                                      const crypto::PartialSignature& partial,
                                      const UpdateMsg* body, std::uint64_t share_digest) {
-  if (replay_innet(id)) return;
+  if (replay_innet(id, from)) return;
   if (applied_ids_.count(id) != 0) {
     // Self-targeted update already applied (and evicted from the fan-out
     // cache, or applied via an escalated duplicate): plain re-ack.

@@ -228,9 +228,10 @@ class SwitchRuntime {
   bool settled(sched::UpdateId id) const;
   /// In-network completion: cache and fan out the aggregated update.
   void fan_out(AggregatedUpdateMsg out);
-  /// Replays the cached fan-out for a duplicate of a completed id; returns
-  /// false when the id is not in the completed cache.
-  bool replay_innet(sched::UpdateId id);
+  /// Replays the cached fan-out for a duplicate of a completed id, or
+  /// re-acks `from` when this switch was the target; returns false when
+  /// the id is not in the completed cache.
+  bool replay_innet(sched::UpdateId id, sim::NodeId from);
   /// One signed kAggMismatch event per update id with conflicting buckets.
   void report_innet_mismatch(sched::UpdateId id);
   void on_aggregator_notify(const AggregatorNotifyMsg& m);

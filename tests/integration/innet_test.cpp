@@ -142,6 +142,33 @@ TEST(InNetwork, MutatedUpdateRaisesMismatchAndStillCompletes) {
   EXPECT_GT(reports, 0u);
 }
 
+TEST(InNetwork, AggregatorTargetReAcksReplicaWhoseAckWasLost) {
+  // The designated aggregator switch is also the target of its own
+  // updates: it applies them at fan-out and acks every replica.  Lose
+  // that first ack to one replica.  The replica's retransmission reaches
+  // the aggregator while the id is still in its fan-out cache; the
+  // aggregator must re-ack it, or the replica retries until it abandons
+  // the update.
+  auto dep = make_dep(FrameworkKind::kCiceroInNetwork);
+  const net::NodeIndex agg = dep->innet_aggregator_switch(0);
+  ASSERT_NE(agg, net::kNoNode);
+  const std::uint32_t replica = dep->domain_controller_ids(0).back();
+  // The aggregator is an edge switch with no hosts: it emits no flow
+  // events, so the first frame it sends the replica is an ack.
+  dep->faults().drop_next(dep->switch_at(agg).config().node,
+                          dep->controller(replica).node(), 1);
+  const auto flows = small_workload(dep->topology(), 15);
+  dep->inject(flows);
+  dep->run(sim::seconds(120));
+  EXPECT_EQ(dep->faults().dropped_targeted(), 1u);
+  EXPECT_EQ(completed_count(*dep), flows.size());
+  EXPECT_EQ(dep->pending_updates(), 0u);
+  EXPECT_GT(dep->switch_at(agg).acks_reissued(), 0u);
+  for (const auto id : dep->controller_ids()) {
+    EXPECT_EQ(dep->controller(id).updates_abandoned(), 0u) << "controller " << id;
+  }
+}
+
 TEST(InNetwork, AggregatorCrashFailsOverToNextLowestIndex) {
   auto dep = make_dep(FrameworkKind::kCiceroInNetwork);
   const net::NodeIndex first = dep->innet_aggregator_switch(0);
