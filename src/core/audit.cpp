@@ -1,6 +1,7 @@
 #include "core/audit.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace cicero::core {
 
@@ -29,42 +30,83 @@ SignPool::~SignPool() {
     threads.swap(threads_);
   }
   wake_.notify_all();
-  // Workers finish the queue before they exit.
   for (std::thread& t : threads) t.join();
 }
 
-std::future<util::Bytes> SignPool::sign(const crypto::SchnorrKeyPair& key,
-                                        const crypto::Digest& digest) {
-  std::packaged_task<util::Bytes()> job([key, digest] { return sign_digest(key, digest); });
-  std::future<util::Bytes> sig = job.get_future();
-  if (workers_ == 0) {
-    job();
-    return sig;
-  }
+void SignPool::enqueue(const std::shared_ptr<detail::PoolJob>& job) {
+  if (workers_ == 0) return;
   {
     util::MutexLock lk(mu_);
+    if (jobs_.size() >= kMaxQueued) return;  // left to its consumer
     if (threads_.empty()) {
       for (unsigned i = 0; i < workers_; ++i) threads_.emplace_back([this] { work(); });
     }
-    jobs_.push_back(std::move(job));
+    job->pool_ = this;
+    jobs_.push_back(job);
   }
   wake_.notify_one();
-  return sig;
+}
+
+bool SignPool::run_newest() {
+  for (;;) {
+    std::shared_ptr<detail::PoolJob> job;
+    {
+      util::MutexLock lk(mu_);
+      if (jobs_.empty()) return false;
+      job = jobs_.back().lock();
+      jobs_.pop_back();
+    }
+    if (job != nullptr && job->claim()) {
+      job->run();
+      return true;
+    }
+  }
 }
 
 void SignPool::work() {
   for (;;) {
-    std::packaged_task<util::Bytes()> job;
+    std::shared_ptr<detail::PoolJob> job;
     {
       util::MutexLock lk(mu_);
       while (jobs_.empty() && !stopping_) wake_.wait(mu_);
-      if (jobs_.empty()) return;
-      job = std::move(jobs_.front());
+      if (stopping_) return;
+      job = jobs_.front().lock();  // null once every future is gone
       jobs_.pop_front();
     }
-    job();
+    if (job != nullptr && job->claim()) job->run();
   }
 }
+
+namespace detail {
+
+void PoolJob::run() {
+  {
+    obs::ScopedCryptoTally tally(tally_);
+    compute();
+  }
+  state_.store(kDone, std::memory_order_release);
+  state_.notify_all();
+}
+
+void PoolJob::finish() {
+  assert(!finished_ && "a pooled result is taken once");
+  finished_ = true;
+  if (claim()) {
+    run();
+  } else {
+    // A worker has it.  The newest queued jobs are the likeliest to be
+    // taken next (the siblings of a fan-out), so run those meanwhile.
+    while (state_.load(std::memory_order_acquire) != kDone && pool_->run_newest()) {
+    }
+    for (std::uint8_t s = state_.load(std::memory_order_acquire); s != kDone;
+         s = state_.load(std::memory_order_acquire)) {
+      state_.wait(s, std::memory_order_acquire);
+    }
+  }
+  obs::crypto_ops().add(tally_);
+}
+
+}  // namespace detail
 
 crypto::Digest AuditEntry::digest() const {
   crypto::Sha256 h;
@@ -90,7 +132,9 @@ void AuditLog::append(const EventId& cause, const util::Bytes& update_bytes,
     e.sig = sign_digest(key, e.digest());
   } else {
     if (pending_.size() == kMaxInFlight) collect_oldest();
-    pending_.push_back(Pending{e.index, pool_->sign(key, e.digest())});
+    pending_.push_back(Pending{e.index, submit(pool_, [key, digest = e.digest()] {
+                                 return sign_digest(key, digest);
+                               })});
   }
   entries_.push_back(std::move(e));
 }
@@ -101,7 +145,7 @@ void AuditLog::drain() const {
 
 void AuditLog::collect_oldest() const {
   Pending& p = pending_.front();
-  entries_[p.index].sig = p.sig.get();
+  entries_[p.index].sig = p.sig.take();
   pending_.pop_front();
 }
 

@@ -163,8 +163,14 @@ void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
   switch (static_cast<CoreMsgTag>(*tag)) {
     case CoreMsgTag::kEvent: {
       if (auto e = Event::decode(wire)) {
+        // The origin signature is checked on the pool while the simulated
+        // CPU verifies; on_event takes the verdict.
+        PoolFuture<bool> sig_ok;
+        if (config_.real_crypto) sig_ok = submit(env_.sign_pool, env_.pki->event_check(*e));
         cpu_.execute(config_.costs.ctrl_msg_handling + config_.costs.event_verify,
-                     "event.verify", [this, e = std::move(*e)] { on_event(e); });
+                     "event.verify", [this, e = std::move(*e), sig_ok]() mutable {
+                       on_event(e, sig_ok);
+                     });
       }
       break;
     }
@@ -173,7 +179,13 @@ void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
         const bool verify = is_threshold_signed(config_.framework);
         const sim::SimTime cost = config_.costs.ctrl_msg_handling +
                                   (verify ? config_.costs.ack_verify : sim::SimTime{0});
-        cpu_.execute(cost, "ack.verify", [this, a = std::move(*a)] { on_ack(a); });
+        PoolFuture<bool> sig_ok;
+        if (verify && config_.real_crypto) {
+          sig_ok = submit(env_.sign_pool, env_.pki->ack_check(*a));
+        }
+        cpu_.execute(cost, "ack.verify", [this, a = std::move(*a), sig_ok]() mutable {
+          on_ack(a, sig_ok);
+        });
       }
       break;
     }
@@ -207,11 +219,12 @@ void Controller::handle_message(sim::NodeId from, const util::Bytes& wire) {
 // Event intake and cross-domain forwarding (Fig. 7a)
 // ---------------------------------------------------------------------------
 
-void Controller::on_event(const Event& e) {
+void Controller::on_event(const Event& e, PoolFuture<bool>& sig_ok) {
   ++events_seen_;
   m_events_seen_.inc();
   if (events_submitted_.count(e.id) != 0 || events_processed_set_.count(e.id) != 0) return;
-  if (config_.real_crypto && !env_.pki->verify_event(e)) {
+  if (sig_ok.valid() && !sig_ok.take()) {
+    count_reject("ctrl.rejected.event_sig");
     CICERO_LOG_WARN(kLog, "c%u: event with bad origin signature dropped", config_.id);
     return;
   }
@@ -531,14 +544,18 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
 
   const bool threshold = is_threshold_signed(config_.framework);
   const sim::SimTime sign_cost = threshold ? config_.costs.partial_sign : sim::SimTime{0};
+  AheadPartial partial;
+  if (threshold && config_.backend == ThresholdBackend::kSimBls && config_.real_crypto) {
+    partial = partial_sign_ahead(update_signing_bytes(msg.update));
+  }
 
   if (trace_leader()) {
     config_.obs->trace.async_begin("update", obs::update_track_id(config_.domain, update.id),
                                    "sign", config_.node, obs::kTidCrypto);
   }
   const sched::UpdateId uid = update.id;
-  cpu_.execute(sign_cost, "update.sign", [this, uid, retransmit,
-                                          msg = std::move(msg)]() mutable {
+  cpu_.execute(sign_cost, "update.sign", [this, uid, retransmit, msg = std::move(msg),
+                                          partial]() mutable {
     if (trace_leader()) {
       config_.obs->trace.async_end("update", obs::update_track_id(config_.domain, uid), "sign",
                                    config_.node, obs::kTidCrypto);
@@ -567,8 +584,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
           msg.frost_commitment = frost_signer_->commit(*nonce_drbg_).to_bytes();
         }
       } else if (config_.real_crypto) {
-        msg.partial = crypto::SimBlsScheme::instance().partial_sign(
-            config_.share, update_signing_bytes(msg.update));
+        msg.partial = take_partial(partial, update_signing_bytes(msg.update));
       } else {
         msg.partial.signer = config_.share.index;
         msg.partial.payload = {0x00};  // placeholder (cost-only runs)
@@ -603,6 +619,28 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
            /*southbound=*/true);
     }
   });
+}
+
+Controller::AheadPartial Controller::partial_sign_ahead(util::Bytes signing) const {
+  return {submit(env_.sign_pool,
+                 [share = config_.share, signing = std::move(signing)] {
+                   return crypto::SimBlsScheme::instance().partial_sign(share, signing);
+                 }),
+          membership_phase_};
+}
+
+crypto::PartialSignature Controller::take_partial(AheadPartial& ahead,
+                                                  const util::Bytes& signing) {
+  // A membership change in between replaced the share: sign with the new one.
+  if (ahead.phase != membership_phase_) {
+    return crypto::SimBlsScheme::instance().partial_sign(config_.share, signing);
+  }
+  return ahead.sig.take();
+}
+
+void Controller::count_reject(const char* name) {
+  // Registered on first use, so a run that rejects nothing reports no key.
+  if (config_.obs != nullptr) config_.obs->metrics.counter(name).inc();
 }
 
 std::size_t Controller::member_rank() const {
@@ -742,15 +780,18 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
   }
 
   const sched::UpdateId uid = manifest.update.id;
-  cpu_.execute(config_.costs.partial_sign, "manifest.sign", [this, uid, retransmit,
-                                                             msg = std::move(msg)]() mutable {
+  util::Bytes signing = manifest_signing_bytes(msg.manifest, msg.epoch);
+  AheadPartial partial;
+  if (config_.real_crypto) partial = partial_sign_ahead(signing);
+  cpu_.execute(config_.costs.partial_sign, "manifest.sign",
+               [this, uid, retransmit, msg = std::move(msg), signing = std::move(signing),
+                partial]() mutable {
     if (retransmit) milestone(Milestone::kResent, uid);
-    const util::Bytes signing = manifest_signing_bytes(msg.manifest, msg.epoch);
     // Decision audit trail, as for updates: the signed bytes pin the
     // segment's position in the chain, not just the rule.
     audit_.append(msg.cause, signing, config_.key);
     if (config_.real_crypto) {
-      msg.partial = crypto::SimBlsScheme::instance().partial_sign(config_.share, signing);
+      msg.partial = take_partial(partial, signing);
     } else {
       msg.partial.signer = config_.share.index;
       msg.partial.payload = {0x00};  // placeholder (cost-only runs)
@@ -800,9 +841,9 @@ void Controller::on_ack_decentralized(const AckMsg& ack) {
 // Acknowledgements -> dependency release
 // ---------------------------------------------------------------------------
 
-void Controller::on_ack(const AckMsg& ack) {
-  if (is_threshold_signed(config_.framework) && config_.real_crypto &&
-      !env_.pki->verify_ack(ack)) {
+void Controller::on_ack(const AckMsg& ack, PoolFuture<bool>& sig_ok) {
+  if (sig_ok.valid() && !sig_ok.take()) {
+    count_reject("ctrl.rejected.ack_sig");
     CICERO_LOG_WARN(kLog, "c%u: ack with bad signature dropped", config_.id);
     return;
   }

@@ -109,7 +109,8 @@ class Controller {
     std::map<net::NodeIndex, sim::NodeId> switch_nodes;
     /// domain -> that domain's control-plane members (for forwarding).
     std::map<net::DomainId, std::vector<MemberInfo>> domain_directory;
-    /// Host workers for the audit log's signatures; null signs inline.
+    /// Host workers for the audit log's signatures and for the crypto this
+    /// controller consumes (DESIGN.md §6); null computes everything inline.
     SignPool* sign_pool = nullptr;
   };
 
@@ -178,7 +179,9 @@ class Controller {
 
  private:
   void rebuild_replica();
-  void on_event(const Event& e);
+  /// `sig_ok` is the origin-signature verdict started at decode; empty in
+  /// cost-model runs.
+  void on_event(const Event& e, PoolFuture<bool>& sig_ok);
   void on_deliver(bft::SeqNum seq, const util::Bytes& payload);
   void process_event(const Event& e);
   void process_flow_event(const Event& e);
@@ -189,12 +192,24 @@ class Controller {
   /// In-network aggregation: rank-dependent send to the aggregator switch.
   void dispatch_innet(const UpdateMsg& msg, sched::UpdateId uid, std::size_t rank,
                       bool retransmit);
+  /// A SimBLS partial signature started on the pool once the signed bytes
+  /// are fixed, ahead of the simulated signing delay.
+  struct AheadPartial {
+    PoolFuture<crypto::PartialSignature> sig;
+    std::uint64_t phase = 0;  ///< membership phase of the share that signs
+  };
+  AheadPartial partial_sign_ahead(util::Bytes signing) const;
+  /// The signature started ahead, or a fresh one when a membership change
+  /// has since replaced this member's share.
+  crypto::PartialSignature take_partial(AheadPartial& ahead, const util::Bytes& signing);
+  /// Counts a rejected input under the reason-coded counter `name`.
+  void count_reject(const char* name);
   /// This replica's rank: position of our id in the sorted member list.
   std::size_t member_rank() const;
   /// Records the first-send instant and arms the ack timer for `id`.
   void await_ack(sched::UpdateId id, const EventId& cause);
   void arm_ack_timer(sched::UpdateId id, sim::SimTime delay);
-  void on_ack(const AckMsg& ack);
+  void on_ack(const AckMsg& ack, PoolFuture<bool>& sig_ok);
   /// Decentralized execution: plan + ship every manifest of one schedule,
   /// arm sink timers.
   void dispatch_decentralized(const sched::UpdateSchedule& local, const EventId& cause);

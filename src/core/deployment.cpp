@@ -164,6 +164,7 @@ void Deployment::build_nodes() {
     cfg.real_crypto = params_.real_crypto;
     cfg.switch_directory = &switch_nodes_;
     cfg.pki = &pki_;
+    cfg.pool = &sign_pool_;
     cfg.domain = d;
     cfg.obs = obs_for_domain(d);
     pki_.register_origin(sw, cfg.key.pk);

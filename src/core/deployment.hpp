@@ -257,11 +257,12 @@ class Deployment {
   PkiDirectory pki_;
   sched::ReversePathScheduler scheduler_;
 
+  /// Computes the controllers' audit signatures and the crypto every
+  /// node consumes off the event loop; declared before the runtimes so it
+  /// outlives every node and log that submits to it.
+  SignPool sign_pool_;
   std::map<net::NodeIndex, std::unique_ptr<SwitchRuntime>> switches_;
   std::map<net::NodeIndex, sim::NodeId> switch_nodes_;
-  /// Signs the controllers' audit logs off the event loop; declared
-  /// before controllers_ so it outlives every log that submits to it.
-  SignPool sign_pool_;
   std::map<std::uint32_t, std::unique_ptr<Controller>> controllers_;
   std::map<std::uint32_t, crypto::SecretShare> shares_;
   std::map<std::uint32_t, crypto::SchnorrKeyPair> ctrl_keys_;

@@ -2,28 +2,10 @@
 
 namespace cicero::core {
 
-bool PkiDirectory::verify_event(const Event& e) const {
-  const auto pk = lookup(e.id.origin);
+bool SignatureCheck::operator()() const {
   if (!pk) return false;
-  const auto sig = crypto::SchnorrSignature::from_bytes(e.sig);
-  if (!sig) return false;
-  return crypto::schnorr_verify(*pk, e.body(), *sig);
-}
-
-bool PkiDirectory::verify_ack(const AckMsg& a) const {
-  const auto pk = lookup(a.switch_node);
-  if (!pk) return false;
-  const auto sig = crypto::SchnorrSignature::from_bytes(a.sig);
-  if (!sig) return false;
-  return crypto::schnorr_verify(*pk, a.body(), *sig);
-}
-
-bool PkiDirectory::verify_segment_done(const SegmentDoneMsg& d) const {
-  const auto pk = lookup(d.switch_node);
-  if (!pk) return false;
-  const auto sig = crypto::SchnorrSignature::from_bytes(d.sig);
-  if (!sig) return false;
-  return crypto::schnorr_verify(*pk, d.body(), *sig);
+  const auto s = crypto::SchnorrSignature::from_bytes(sig);
+  return s && crypto::schnorr_verify(*pk, body, *s);
 }
 
 }  // namespace cicero::core

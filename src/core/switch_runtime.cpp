@@ -184,15 +184,21 @@ void SwitchRuntime::report_link_failure(net::NodeIndex neighbor) {
   }
 }
 
+PoolFuture<util::Bytes> SwitchRuntime::sign_ahead(util::Bytes body) const {
+  return submit(config_.pool, [key = config_.key, body = std::move(body)] {
+    return crypto::schnorr_sign(key, body).to_bytes();
+  });
+}
+
 void SwitchRuntime::emit_event(Event e) {
   ++events_emitted_;
   m_events_.inc();
-  if (config_.real_crypto) {
-    e.sig = crypto::schnorr_sign(config_.key, e.body()).to_bytes();
-  }
+  PoolFuture<util::Bytes> sig;
+  if (config_.real_crypto) sig = sign_ahead(e.body());
   // Miss detection + event signing cost, then transmit (Fig. 6a).
   cpu_.execute(config_.costs.packet_in_cost + config_.costs.event_sign,
-               "packet_in.sign", [this, e = std::move(e)] {
+               "packet_in.sign", [this, e = std::move(e), sig]() mutable {
+                 if (sig.valid()) e.sig = sig.take();
                  const util::Bytes wire = e.encode();
                  if (config_.framework == FrameworkKind::kCiceroAgg &&
                      config_.aggregator != sim::kInvalidNode) {
@@ -509,26 +515,25 @@ void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
     return;
   }
   milestone(Milestone::kRx, m.update.id);
-  cpu_.execute(config_.costs.threshold_verify, "threshold.verify", [this, m] {
+  PoolFuture<bool> sig_ok;
+  if (config_.real_crypto) {
+    sig_ok = submit(config_.pool, [frost = config_.backend == ThresholdBackend::kFrost,
+                                   pk = config_.group_pk, signing = update_signing_bytes(m.update),
+                                   agg_sig = m.agg_sig] {
+      if (!frost) return crypto::SimBlsScheme::instance().verify(pk, signing, agg_sig);
+      const auto sig = crypto::FrostSignature::from_bytes(agg_sig);
+      return sig && crypto::frost_verify(pk, signing, *sig);
+    });
+  }
+  cpu_.execute(config_.costs.threshold_verify, "threshold.verify", [this, m, sig_ok]() mutable {
     if (down_) return;
     if (applied_ids_.count(m.update.id) != 0) return;
-    if (config_.real_crypto) {
-      bool valid = false;
-      if (config_.backend == ThresholdBackend::kFrost) {
-        const auto sig = crypto::FrostSignature::from_bytes(m.agg_sig);
-        valid = sig && crypto::frost_verify(config_.group_pk,
-                                            update_signing_bytes(m.update), *sig);
-      } else {
-        valid = crypto::SimBlsScheme::instance().verify(
-            config_.group_pk, update_signing_bytes(m.update), m.agg_sig);
-      }
-      if (!valid) {
-        ++updates_rejected_;
-        m_rejected_.inc();
-        CICERO_LOG_WARN(kLog, "s%u: bad aggregated signature for update %llu",
-                        config_.topo_index, static_cast<unsigned long long>(m.update.id));
-        return;
-      }
+    if (sig_ok.valid() && !sig_ok.take()) {
+      ++updates_rejected_;
+      m_rejected_.inc();
+      CICERO_LOG_WARN(kLog, "s%u: bad aggregated signature for update %llu",
+                      config_.topo_index, static_cast<unsigned long long>(m.update.id));
+      return;
     }
     note_applied(m.update.id);
     apply_update(m.update);
@@ -630,9 +635,11 @@ void SwitchRuntime::on_segment_done(const SegmentDoneMsg& d) {
   const bool verify =
       is_threshold_signed(config_.framework) && config_.real_crypto && config_.pki != nullptr;
   const sim::SimTime cost = verify ? config_.costs.ack_verify : sim::SimTime{0};
-  cpu_.execute(cost, "segdone.verify", [this, verify, d] {
+  PoolFuture<bool> sig_ok;
+  if (verify) sig_ok = submit(config_.pool, config_.pki->segment_done_check(d));
+  cpu_.execute(cost, "segdone.verify", [this, sig_ok, d]() mutable {
     if (down_) return;
-    if (verify && !config_.pki->verify_segment_done(d)) {
+    if (sig_ok.valid() && !sig_ok.take()) {
       ++updates_rejected_;
       m_rejected_.inc();
       CICERO_LOG_WARN(kLog, "s%u: bad SegmentDone signature from s%u", config_.topo_index,
@@ -665,12 +672,14 @@ void SwitchRuntime::signal_successors(sched::UpdateId id,
     done.switch_node = config_.topo_index;
     done.epoch = phase_;
     const bool sign = is_threshold_signed(config_.framework);
-    if (sign && config_.real_crypto) {
-      done.sig = crypto::schnorr_sign(config_.key, done.body()).to_bytes();
-    }
+    PoolFuture<util::Bytes> sig;
+    if (sign && config_.real_crypto) sig = sign_ahead(done.body());
     const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
     const sim::NodeId to = succ.node;
-    cpu_.execute(cost, "segdone.sign", [this, to, resignal, done = std::move(done)] {
+    cpu_.execute(cost, "segdone.sign", [this, to, resignal, done = std::move(done),
+                                        sig]() mutable {
+      // Signed when queued, so the op counts even if the switch crashed since.
+      if (sig.valid()) done.sig = sig.take();
       if (down_) return;
       ++peer_signals_sent_;
       send(to, done.encode(),
@@ -711,11 +720,12 @@ void SwitchRuntime::send_ack(sched::UpdateId id, bool reissue, sim::NodeId to) {
   ack.update_id = id;
   ack.switch_node = config_.topo_index;
   const bool sign = is_threshold_signed(config_.framework);
-  if (sign && config_.real_crypto) {
-    ack.sig = crypto::schnorr_sign(config_.key, ack.body()).to_bytes();
-  }
+  PoolFuture<util::Bytes> sig;
+  if (sign && config_.real_crypto) sig = sign_ahead(ack.body());
   const sim::SimTime cost = sign ? config_.costs.ack_sign : sim::SimTime{0};
-  cpu_.execute(cost, "ack.sign", [this, reissue, to, ack = std::move(ack)] {
+  cpu_.execute(cost, "ack.sign", [this, reissue, to, ack = std::move(ack), sig]() mutable {
+    // Signed when queued, so the op counts even if the switch crashed since.
+    if (sig.valid()) ack.sig = sig.take();
     if (down_) return;
     send(to, ack.encode(), reissue ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate);
   });

@@ -20,6 +20,7 @@
 #include <map>
 #include <set>
 
+#include "core/audit.hpp"
 #include "core/cost_model.hpp"
 #include "core/framework.hpp"
 #include "core/messages.hpp"
@@ -48,6 +49,10 @@ class SwitchRuntime {
     /// Peer public keys for SegmentDone verification (decentralized mode);
     /// owned by the Deployment, outlives every switch.
     const PkiDirectory* pki = nullptr;
+    /// Host workers that compute this switch's signatures and
+    /// verifications ahead of its simulated CPU delay (DESIGN.md §6);
+    /// owned by the Deployment.  Null computes each inline where consumed.
+    SignPool* pool = nullptr;
     /// Topology index -> sim address of every switch, for the aggregator
     /// fan-out hop (in-network aggregation only); owned by the Deployment.
     const std::map<net::NodeIndex, sim::NodeId>* switch_directory = nullptr;
@@ -197,6 +202,8 @@ class SwitchRuntime {
     kApplied,     ///< rule committed
   };
 
+  /// Schnorr-signs `body` with this switch's key, on the pool.
+  PoolFuture<util::Bytes> sign_ahead(util::Bytes body) const;
   void emit_event(Event e);
   void emit_flow_request(const net::FlowMatch& match, double reserved_bps,
                          std::uint32_t retries_left);

@@ -118,9 +118,19 @@ std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
   return it == counters_.end() ? 0 : *it->second;
 }
 
+namespace {
+thread_local CryptoOpCounters* t_tally = nullptr;
+}  // namespace
+
 CryptoOpCounters& crypto_ops() {
   static CryptoOpCounters g;
-  return g;
+  return t_tally != nullptr ? *t_tally : g;
 }
+
+ScopedCryptoTally::ScopedCryptoTally(CryptoOpCounters& tally) : prev_(t_tally) {
+  t_tally = &tally;
+}
+
+ScopedCryptoTally::~ScopedCryptoTally() { t_tally = prev_; }
 
 }  // namespace cicero::obs

@@ -160,9 +160,13 @@ class MetricsRegistry {
   std::map<std::string, HistogramCell*> histograms_;
 };
 
-/// Process-wide crypto operation counters, incremented directly by the
-/// crypto kernels (they have no registry in scope and must stay cheap).
-/// The run-report writer snapshots them; `reset` scopes them to one run.
+/// Crypto operation counters, incremented directly by the crypto kernels
+/// (they have no registry in scope and must stay cheap).  The
+/// process-wide set is what the run-report writer snapshots; `reset`
+/// scopes it to one run.  A job on a core::SignPool counts into its own
+/// set instead (ScopedCryptoTally), which is added to the process-wide
+/// set when the job's result is taken, so an op counts only where the
+/// simulation consumes it.
 /// Atomic because parallel-mode workers may sign/verify concurrently; the
 /// single-threaded cost is one lock-free RMW per (expensive) crypto op.
 /// Per-field atomics are the whole synchronization story here (no mutex,
@@ -194,7 +198,34 @@ struct CryptoOpCounters {
     frost_verify = 0;
     field_inv = 0;
   }
+  /// Adds every counter of `o` to this set.
+  void add(const CryptoOpCounters& o) {
+    schnorr_sign += o.schnorr_sign;
+    schnorr_verify += o.schnorr_verify;
+    partial_sign += o.partial_sign;
+    partial_verify += o.partial_verify;
+    aggregate += o.aggregate;
+    threshold_verify += o.threshold_verify;
+    frost_sign += o.frost_sign;
+    frost_aggregate += o.frost_aggregate;
+    frost_verify += o.frost_verify;
+    field_inv += o.field_inv;
+  }
 };
+/// The set this thread's crypto ops count into: the innermost live
+/// ScopedCryptoTally's, else the process-wide one.
 CryptoOpCounters& crypto_ops();
+
+/// While alive, crypto ops on the constructing thread count into `tally`.
+class ScopedCryptoTally {
+ public:
+  explicit ScopedCryptoTally(CryptoOpCounters& tally);
+  ~ScopedCryptoTally();
+  ScopedCryptoTally(const ScopedCryptoTally&) = delete;
+  ScopedCryptoTally& operator=(const ScopedCryptoTally&) = delete;
+
+ private:
+  CryptoOpCounters* prev_;
+};
 
 }  // namespace cicero::obs

@@ -64,6 +64,7 @@ void RunReport::add_crypto_ops(const CryptoOpCounters& ops, const std::string& p
   counters_[base + "frost_sign"] = ops.frost_sign;
   counters_[base + "frost_aggregate"] = ops.frost_aggregate;
   counters_[base + "frost_verify"] = ops.frost_verify;
+  counters_[base + "field_inv"] = ops.field_inv;
 }
 
 void RunReport::add_cdf(const std::string& name, const util::CdfCollector& cdf,

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "crypto/drbg.hpp"
+#include "crypto/simbls.hpp"
 
 namespace cicero::core {
 namespace {
@@ -216,6 +219,164 @@ TEST_F(AuditTest, InFlightNeverExceedsCap) {
   log.drain();
   EXPECT_EQ(log.in_flight(), 0u);
   EXPECT_TRUE(AuditLog::verify_chain(log.entries(), kp_.pk));
+}
+
+// --- typed jobs on a SignPool ----------------------------------------------
+
+/// Snapshot of the process-wide crypto op counters.
+std::vector<std::uint64_t> op_counts() {
+  const obs::CryptoOpCounters& c = obs::crypto_ops();
+  return {c.schnorr_sign,    c.schnorr_verify, c.partial_sign,
+          c.partial_verify,  c.aggregate,      c.threshold_verify,
+          c.frost_sign,      c.frost_aggregate, c.frost_verify,
+          c.field_inv};
+}
+
+/// Holds a pool's only worker inside a job until released, so the test
+/// controls what is queued behind it.
+class BusyWorker {
+ public:
+  explicit BusyWorker(SignPool& pool)
+      : job_(submit(&pool, [this] {
+          started_ = true;
+          while (!released_) std::this_thread::yield();
+          return true;
+        })) {
+    while (!started_) std::this_thread::yield();
+  }
+  ~BusyWorker() {
+    released_ = true;
+    job_.take();
+  }
+
+ private:
+  std::atomic<bool> started_{false};
+  std::atomic<bool> released_{false};
+  PoolFuture<bool> job_;
+};
+
+TEST_F(AuditTest, TypedResultsEqualInlineResults) {
+  SignPool pool(3);
+  crypto::Drbg d(90);
+  const util::Bytes msg = util::to_bytes("typed");
+  const crypto::SecretShare share{1, d.next_secret_scalar()};
+  const crypto::SchnorrSignature sig = crypto::schnorr_sign(kp_, msg);
+
+  auto signed_bytes = submit(&pool, [kp = kp_, msg] { return crypto::schnorr_sign(kp, msg); });
+  auto good = submit(&pool, [pk = kp_.pk, msg, sig] {
+    return crypto::schnorr_verify(pk, msg, sig);
+  });
+  auto bad = submit(&pool, [pk = kp_.pk, sig] {
+    return crypto::schnorr_verify(pk, util::to_bytes("other"), sig);
+  });
+  auto partial = submit(&pool, [share, msg] {
+    return crypto::SimBlsScheme::instance().partial_sign(share, msg);
+  });
+  auto none = submit(nullptr, [kp = kp_, msg] { return crypto::schnorr_sign(kp, msg); });
+
+  EXPECT_EQ(signed_bytes.take(), sig);
+  EXPECT_TRUE(good.take());
+  EXPECT_FALSE(bad.take());
+  const crypto::PartialSignature p = partial.take();
+  const crypto::PartialSignature ref = crypto::SimBlsScheme::instance().partial_sign(share, msg);
+  EXPECT_EQ(p.signer, ref.signer);
+  EXPECT_EQ(p.payload, ref.payload);
+  EXPECT_EQ(none.take(), sig);
+  EXPECT_FALSE(signed_bytes.valid());
+}
+
+TEST_F(AuditTest, ZeroWorkerPoolRunsJobsInlineWhenTaken) {
+  SignPool pool(0);
+  const util::Bytes msg = util::to_bytes("inline");
+  const auto before = op_counts();
+  auto job = submit(&pool, [kp = kp_, msg] {
+    return std::make_pair(std::this_thread::get_id(), crypto::schnorr_sign(kp, msg));
+  });
+  EXPECT_EQ(op_counts(), before) << "a job with no worker runs only when taken";
+  const auto [thread, sig] = job.take();
+  EXPECT_EQ(thread, std::this_thread::get_id());
+  EXPECT_EQ(sig, crypto::schnorr_sign(kp_, msg));
+  EXPECT_EQ(obs::crypto_ops().schnorr_sign, before[0] + 2);  // the job's and the reference's
+}
+
+TEST_F(AuditTest, UnstartedJobRunsInItsConsumer) {
+  // A consumer never waits behind the queue: a job no worker has started
+  // is run by whoever takes it.
+  SignPool pool(1);
+  BusyWorker busy(pool);
+  auto job = submit(&pool, [] { return std::this_thread::get_id(); });
+  EXPECT_EQ(job.take(), std::this_thread::get_id());
+}
+
+TEST_F(AuditTest, FullQueueRunsInline) {
+  SignPool pool(1);
+  std::vector<PoolFuture<std::thread::id>> queued;
+  {
+    BusyWorker busy(pool);
+    for (std::size_t i = 0; i < SignPool::kMaxQueued; ++i) {
+      queued.push_back(submit(&pool, [] { return std::this_thread::get_id(); }));
+    }
+    // Past the cap the job is not queued at all; taking it runs it here
+    // even while the worker is still held.
+    auto overflow = submit(&pool, [] { return std::this_thread::get_id(); });
+    EXPECT_EQ(overflow.take(), std::this_thread::get_id());
+  }
+  for (auto& f : queued) f.take();  // the released worker or this thread
+}
+
+TEST_F(AuditTest, DiscardedJobLeavesCountersUnchanged) {
+  SignPool pool(2);
+  const util::Bytes msg = util::to_bytes("dropped");
+  std::atomic<int> ran{0};
+  const auto before = op_counts();
+  {
+    // Computed by a worker, then dropped: the work happened, but nothing
+    // consumed it, so nothing is counted.
+    auto done = submit(&pool, [kp = kp_, msg, &ran] {
+      const auto sig = crypto::schnorr_sign(kp, msg);
+      ++ran;
+      return sig;
+    });
+    while (ran == 0) std::this_thread::yield();
+  }
+  {
+    // Dropped before any worker started it: never run.
+    BusyWorker a(pool);
+    BusyWorker b(pool);
+    auto skipped = submit(&pool, [kp = kp_, msg, &ran] {
+      ++ran;
+      return crypto::schnorr_sign(kp, msg);
+    });
+  }
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(op_counts(), before);
+
+  // A taken job counts exactly the ops it made, field inversions included.
+  obs::CryptoOpCounters direct;
+  {
+    obs::ScopedCryptoTally tally(direct);
+    crypto::schnorr_sign(kp_, msg);
+  }
+  submit(&pool, [kp = kp_, msg] { return crypto::schnorr_sign(kp, msg); }).take();
+  auto expected = before;
+  expected[0] += direct.schnorr_sign;
+  expected[9] += direct.field_inv;
+  EXPECT_EQ(direct.schnorr_sign, 1u);
+  EXPECT_EQ(op_counts(), expected);
+}
+
+TEST_F(AuditTest, PoolDestroyedWithJobsOutstandingIsSafe) {
+  const util::Bytes msg = util::to_bytes("outstanding");
+  const crypto::SchnorrSignature ref = crypto::schnorr_sign(kp_, msg);
+  std::vector<PoolFuture<crypto::SchnorrSignature>> jobs;
+  {
+    SignPool pool(2);
+    for (int i = 0; i < 40; ++i) {
+      jobs.push_back(submit(&pool, [kp = kp_, msg] { return crypto::schnorr_sign(kp, msg); }));
+    }
+  }
+  // Jobs the workers never reached run in their consumer.
+  for (auto& j : jobs) EXPECT_EQ(j.take(), ref);
 }
 
 TEST_F(AuditTest, LaggingLogIsNotDivergence) {

@@ -114,10 +114,13 @@ TEST(ObsIntegration, RunReportRoundTrip) {
 // Lifecycle trace on every update path
 // ---------------------------------------------------------------------------
 
+/// The enum fields lead: gtest names each case after the raw bytes of its
+/// parameter, so a leading pointer would put a link-layout-dependent byte
+/// into the test name.
 struct TracedPath {
-  const char* label;
   core::FrameworkKind framework;
   core::ThresholdBackend backend;
+  const char* label;
   /// Expected "ph cat name count" lines, sorted, for every async, flow and
   /// instant event of the run below.
   const char* counts;
@@ -182,39 +185,39 @@ TEST_P(TraceLifecycle, SpansPairAndEventCountsAreStable) {
 INSTANTIATE_TEST_SUITE_P(
     UpdatePaths, TraceLifecycle,
     ::testing::Values(
-        TracedPath{"Centralized", FrameworkKind::kCentralized, ThresholdBackend::kSimBls,
+        TracedPath{FrameworkKind::kCentralized, ThresholdBackend::kSimBls, "Centralized",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
-        TracedPath{"CrashTolerant", FrameworkKind::kCrashTolerant, ThresholdBackend::kSimBls,
+        TracedPath{FrameworkKind::kCrashTolerant, ThresholdBackend::kSimBls, "CrashTolerant",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
-        TracedPath{"Cicero", FrameworkKind::kCicero, ThresholdBackend::kSimBls,
+        TracedPath{FrameworkKind::kCicero, ThresholdBackend::kSimBls, "Cicero",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 140\n"},
-        TracedPath{"CiceroAgg", FrameworkKind::kCiceroAgg, ThresholdBackend::kSimBls,
+        TracedPath{FrameworkKind::kCiceroAgg, ThresholdBackend::kSimBls, "CiceroAgg",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
-        TracedPath{"CiceroAggFrost", FrameworkKind::kCiceroAgg, ThresholdBackend::kFrost,
+        TracedPath{FrameworkKind::kCiceroAgg, ThresholdBackend::kFrost, "CiceroAggFrost",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
-        TracedPath{"CiceroInNetwork", FrameworkKind::kCiceroInNetwork, ThresholdBackend::kSimBls,
+        TracedPath{FrameworkKind::kCiceroInNetwork, ThresholdBackend::kSimBls, "CiceroInNetwork",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.agg_fanout 35\n" "t flow update.applied 35\n"
             "t flow update.rx 25\n"},
-        TracedPath{"CiceroDecentralized", FrameworkKind::kCiceroDecentralized,
-                   ThresholdBackend::kSimBls,
+        TracedPath{FrameworkKind::kCiceroDecentralized, ThresholdBackend::kSimBls,
+                   "CiceroDecentralized",
             "b event order 15\n" "b update apply 35\n" "b update update 35\n" "e event order 15\n"
             "e update apply 35\n" "e update update 35\n" "f flow update.ack 15\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 140\n"}),

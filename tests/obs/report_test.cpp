@@ -44,11 +44,13 @@ TEST(RunReport, CryptoOpsSnapshot) {
   CryptoOpCounters ops;
   ops.schnorr_sign = 3;
   ops.threshold_verify = 9;
+  ops.field_inv = 27;
   RunReport r("x");
   r.add_crypto_ops(ops, "cicero.");
   const std::string json = r.to_json();
   EXPECT_NE(json.find("\"cicero.crypto.ops.schnorr_sign\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"cicero.crypto.ops.threshold_verify\": 9"), std::string::npos);
+  EXPECT_NE(json.find("\"cicero.crypto.ops.field_inv\": 27"), std::string::npos) << json;
 }
 
 TEST(RunReport, EmptyCdfHasZeroCount) {
