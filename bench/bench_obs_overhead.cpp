@@ -87,9 +87,6 @@ int main() {
 
   std::printf("obs hot-path overhead (%llu iterations per probe)\n",
               static_cast<unsigned long long>(kIters));
-#ifdef CICERO_OBS_NOOP
-  std::printf("build: CICERO_OBS=OFF (record methods compiled out)\n");
-#endif
 
   int failures = 0;
 

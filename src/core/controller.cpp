@@ -889,91 +889,113 @@ void Controller::on_ack(const AckMsg& ack, PoolFuture<bool>& sig_ok) {
 
 void Controller::on_peer_update(const UpdateMsg& m) {
   if (config_.framework != FrameworkKind::kCiceroAgg || !is_aggregator()) return;
+  const sched::UpdateId id = m.update.id;
   // A partial for an update we already aggregated means the sender never
   // saw the ack: the aggregated update or the ack was lost downstream.
   // Replay the cached aggregate; the switch dedupes and re-acks.
-  const auto done = agg_completed_.find(m.update.id);
-  if (done != agg_completed_.end()) {
+  if (const util::Bytes* shipped = agg_shipped_.find(id)) {
     const auto sw_it = env_.switch_nodes.find(m.update.switch_node);
     if (sw_it != env_.switch_nodes.end()) {
-      milestone(Milestone::kResent, m.update.id);
-      send(sw_it->second, done->second, obs::CritPhase::kRetransmit, /*southbound=*/true);
+      milestone(Milestone::kResent, id);
+      send(sw_it->second, *shipped, obs::CritPhase::kRetransmit, /*southbound=*/true);
     }
     return;
   }
-  AggPending& p = agg_pending_[m.update.id];
-  if (p.done) return;
-  if (p.partials.empty() && p.frost_commitments.empty()) {
-    p.update = m.update;
-    p.cause = m.cause;
-    p.signing_bytes = update_signing_bytes(m.update);
-  } else if (!(p.update == m.update)) {
-    return;  // conflicting body: not counted with the first
-  }
   if (m.partial.signer == 0) return;
+  util::Bytes signing = update_signing_bytes(m.update);
+  const crypto::Digest key = crypto::Sha256::hash(signing);
+  Bucket<AggBody>* bucket = find_bucket(agg_pending_, id, key);
+  if (bucket != nullptr && bucket->aggregating) return;
+  AggBody body{AggUpdateMsg{m.update, m.cause, {}}, {}, {}, {}};
 
   if (config_.backend == ThresholdBackend::kFrost) {
-    if (p.session_started) {
+    if (bucket != nullptr && !bucket->body.frost_session.empty()) {
       // Retransmission while a signing session is in flight: the sender
       // missed the session message (or its partial was lost).  Re-send the
       // existing session — its stored nonce for the original commitment is
       // still valid — rather than corrupting the fixed signer set.
-      bool in_session = false;
-      for (const auto& c : p.frost_session) in_session |= (c.signer == m.partial.signer);
-      if (in_session) {
-        send_session(m.update.id, p.frost_session, m.partial.signer,
-                     obs::CritPhase::kRetransmit);
+      const auto& session = bucket->body.frost_session;
+      if (std::any_of(session.begin(), session.end(),
+                      [&](const auto& c) { return c.signer == m.partial.signer; })) {
+        send_session(id, session, m.partial.signer, obs::CritPhase::kRetransmit);
       }
       return;
     }
-    if (config_.real_crypto) {
-      const auto c = crypto::FrostCommitment::from_bytes(m.frost_commitment);
-      if (!c || c->signer != m.partial.signer) return;
-      p.frost_commitments[m.partial.signer] = *c;
-    } else {
-      p.frost_commitments[m.partial.signer] = crypto::FrostCommitment{m.partial.signer, {}, {}};
+    std::optional<crypto::FrostCommitment> c =
+        crypto::FrostCommitment{m.partial.signer, {}, {}};
+    if (config_.real_crypto) c = crypto::FrostCommitment::from_bytes(m.frost_commitment);
+    if (!c || c->signer != m.partial.signer) return;
+    AggBody& p = open_bucket(agg_pending_, id, key, &body, std::move(signing)).bucket.body;
+    p.frost_commitments[m.partial.signer] = *c;
+    if (p.frost_commitments.size() < config_.quorum) return;
+    // Round 2: the first `quorum` signers, by share index, form the session.
+    for (const auto& [idx, commitment] : p.frost_commitments) {
+      if (p.frost_session.size() == config_.quorum) break;
+      p.frost_session.push_back(commitment);
     }
-    maybe_start_frost_session(m.update.id);
+    for (const auto& member : p.frost_session) {
+      send_session(id, p.frost_session, member.signer, obs::CritPhase::kSign);
+    }
     return;
   }
 
   // Verify the partial against the signer's verification share so a bad
-  // partial is attributed and excluded before aggregation.
-  const sim::SimTime vcost = config_.costs.partial_verify;
-  cpu_.execute(vcost, "partial.verify", [this, id = m.update.id, partial = m.partial] {
-    auto it = agg_pending_.find(id);
-    if (it == agg_pending_.end() || it->second.done) return;
-    AggPending& p2 = it->second;
+  // partial is attributed and excluded before it is counted.
+  cpu_.execute(config_.costs.partial_verify, "partial.verify",
+               [this, id, key, partial = m.partial, body = std::move(body),
+                signing = std::move(signing)]() mutable {
+    if (agg_shipped_.contains(id)) return;
+    const Bucket<AggBody>* b = find_bucket(agg_pending_, id, key);
+    if (b != nullptr && b->aggregating) return;
     if (config_.real_crypto) {
       const auto vs = config_.verification_shares.find(partial.signer);
       if (vs == config_.verification_shares.end() ||
-          !crypto::SimBlsScheme::instance().verify_partial(vs->second, p2.signing_bytes,
-                                                           partial)) {
+          !crypto::SimBlsScheme::instance().verify_partial(vs->second, signing, partial)) {
         CICERO_LOG_WARN(kLog, "aggregator c%u: bad partial from share %u dropped", config_.id,
                         partial.signer);
         return;
       }
     }
-    p2.partials[partial.signer] = partial;
-    if (p2.partials.size() < config_.quorum) return;
-    p2.done = true;
+    Bucket<AggBody>& filed =
+        add_partial(agg_pending_, id, key, partial, &body, std::move(signing)).bucket;
+    if (filed.partials.size() < config_.quorum) return;
+    filed.aggregating = true;
+    aggregate_and_ship(id, key);
+  });
+}
 
-    const sim::SimTime agg_cost =
-        config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum);
-    cpu_.execute(agg_cost, "aggregate", [this, id] {
-      auto it2 = agg_pending_.find(id);
-      if (it2 == agg_pending_.end()) return;
-      const AggPending& p3 = it2->second;
-      if (!config_.real_crypto) {
-        ship_aggregate(it2, {0x00});
-        return;
-      }
+void Controller::aggregate_and_ship(sched::UpdateId id, const crypto::Digest& key) {
+  const sim::SimTime cost =
+      config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum);
+  cpu_.execute(cost, "aggregate", [this, id, key] {
+    Bucket<AggBody>* bucket = find_bucket(agg_pending_, id, key);
+    if (bucket == nullptr) return;
+    const bool frost = config_.backend == ThresholdBackend::kFrost;
+    std::optional<util::Bytes> sig;
+    if (!config_.real_crypto) {
+      sig = util::Bytes{static_cast<std::uint8_t>(frost ? 0x01 : 0x00)};  // placeholder
+    } else if (frost) {
+      const auto s = crypto::frost_aggregate(bucket->signing_bytes, bucket->body.frost_session,
+                                             config_.group_pk, bucket->body.frost_partials);
+      if (s) sig = s->to_bytes();
+    } else {
       std::vector<crypto::PartialSignature> parts;
-      for (const auto& [idx, part] : p3.partials) parts.push_back(part);
-      auto agg =
-          crypto::SimBlsScheme::instance().aggregate(p3.signing_bytes, parts, config_.quorum);
-      if (agg) ship_aggregate(it2, std::move(*agg));
-    });
+      for (const auto& [idx, part] : bucket->partials) parts.push_back(part);
+      sig = crypto::SimBlsScheme::instance().aggregate(bucket->signing_bytes, parts,
+                                                       config_.quorum);
+    }
+    if (!sig) return;
+    // Ship, cache for replay and retire every bucket of the id.
+    AggUpdateMsg& msg = bucket->body.msg;
+    msg.agg_sig = std::move(*sig);
+    const util::Bytes wire = msg.encode();
+    agg_shipped_.put(id, wire);
+    const auto sw_it = env_.switch_nodes.find(msg.update.switch_node);
+    if (sw_it != env_.switch_nodes.end()) {
+      milestone(Milestone::kSent, id);  // aggregator == crit/trace leader
+      send(sw_it->second, wire, obs::CritPhase::kPropagate, /*southbound=*/true);
+    }
+    agg_pending_.erase(id);
   });
 }
 
@@ -981,23 +1003,6 @@ void Controller::on_peer_update(const UpdateMsg& m) {
 // FROST signing round (kFrost backend, aggregator-coordinated; §4.2 with a
 // cryptographically real threshold scheme — costs one extra round trip)
 // ---------------------------------------------------------------------------
-
-void Controller::maybe_start_frost_session(sched::UpdateId id) {
-  auto it = agg_pending_.find(id);
-  if (it == agg_pending_.end()) return;
-  AggPending& p = it->second;
-  if (p.session_started || p.frost_commitments.size() < config_.quorum) return;
-  p.session_started = true;
-
-  std::size_t taken = 0;
-  for (const auto& [idx, c] : p.frost_commitments) {
-    if (taken++ == config_.quorum) break;
-    p.frost_session.push_back(c);
-  }
-  for (const auto& c : p.frost_session) {
-    send_session(id, p.frost_session, c.signer, obs::CritPhase::kSign);
-  }
-}
 
 void Controller::send_session(sched::UpdateId id,
                               const std::vector<crypto::FrostCommitment>& commitments,
@@ -1033,15 +1038,15 @@ void Controller::on_frost_session(const FrostSessionMsg& m) {
     }
     try {
       reply.z = frost_signer_->sign(msg_bytes, session).to_bytes();
-      frost_sent_partials_[m.update_id] = reply;
+      frost_sent_partials_.put(m.update_id, reply);
     } catch (const std::invalid_argument&) {
       // Nonce already consumed: we signed this session before and the
       // partial was lost in transit.  Replaying the identical z is safe
       // (same signature share, not a second nonce use); an unknown/stale
       // session has no cached partial and is dropped.
-      const auto cached = frost_sent_partials_.find(m.update_id);
-      if (cached == frost_sent_partials_.end()) return;
-      reply = cached->second;
+      const FrostPartialMsg* cached = frost_sent_partials_.find(m.update_id);
+      if (cached == nullptr) return;
+      reply = *cached;
     }
   } else {
     reply.z = {0x00};
@@ -1058,61 +1063,37 @@ void Controller::on_frost_session(const FrostSessionMsg& m) {
 
 void Controller::on_frost_partial(const FrostPartialMsg& m) {
   if (!is_aggregator()) return;
-  auto it = agg_pending_.find(m.update_id);
-  if (it == agg_pending_.end() || it->second.done) return;
-  AggPending& p = it->second;
-  bool in_session = false;
-  for (const auto& c : p.frost_session) in_session |= (c.signer == m.signer_index);
-  if (!in_session) return;
-  if (config_.real_crypto) {
-    const auto z = crypto::Scalar::from_bytes(m.z);
-    if (!z) return;
-    const auto vs = config_.verification_shares.find(m.signer_index);
-    if (vs == config_.verification_shares.end() ||
-        !crypto::frost_verify_partial(p.signing_bytes, p.frost_session, config_.group_pk,
-                                      m.signer_index, vs->second, *z)) {
-      CICERO_LOG_WARN(kLog, "aggregator c%u: bad FROST partial from %u", config_.id,
-                      m.signer_index);
-      return;
+  const auto it = agg_pending_.find(m.update_id);
+  if (it == agg_pending_.end()) return;
+  // A FrostPartialMsg names no body: it belongs to the session that holds
+  // its signer.  An honest signer committed in one bucket only.
+  for (auto& [key, bucket] : it->second) {
+    AggBody& p = bucket.body;
+    if (bucket.aggregating ||
+        std::none_of(p.frost_session.begin(), p.frost_session.end(),
+                     [&](const auto& c) { return c.signer == m.signer_index; })) {
+      continue;
     }
-    p.frost_partials[m.signer_index] = *z;
-  } else {
-    p.frost_partials[m.signer_index] = crypto::Scalar::zero();
-  }
-  if (p.frost_partials.size() < p.frost_session.size()) return;
-  p.done = true;
-  finish_frost_aggregation(m.update_id);
-}
-
-void Controller::finish_frost_aggregation(sched::UpdateId id) {
-  const sim::SimTime agg_cost =
-      config_.costs.aggregate_per_share * static_cast<sim::SimTime>(config_.quorum);
-  cpu_.execute(agg_cost, "aggregate", [this, id] {
-    auto it = agg_pending_.find(id);
-    if (it == agg_pending_.end()) return;
-    if (!config_.real_crypto) {
-      ship_aggregate(it, {0x01});
-      return;
+    crypto::Scalar z = crypto::Scalar::zero();
+    if (config_.real_crypto) {
+      const auto parsed = crypto::Scalar::from_bytes(m.z);
+      if (!parsed) return;
+      z = *parsed;
+      const auto vs = config_.verification_shares.find(m.signer_index);
+      if (vs == config_.verification_shares.end() ||
+          !crypto::frost_verify_partial(bucket.signing_bytes, p.frost_session,
+                                        config_.group_pk, m.signer_index, vs->second, z)) {
+        CICERO_LOG_WARN(kLog, "aggregator c%u: bad FROST partial from %u", config_.id,
+                        m.signer_index);
+        continue;
+      }
     }
-    const AggPending& p = it->second;
-    const auto sig = crypto::frost_aggregate(p.signing_bytes, p.frost_session, config_.group_pk,
-                                             p.frost_partials);
-    if (sig) ship_aggregate(it, sig->to_bytes());
-  });
-}
-
-void Controller::ship_aggregate(std::map<sched::UpdateId, AggPending>::iterator it,
-                                util::Bytes agg_sig) {
-  const sched::UpdateId id = it->first;
-  const util::Bytes wire = AggUpdateMsg{it->second.update, it->second.cause, std::move(agg_sig)}
-                               .encode();
-  agg_completed_[id] = wire;
-  const auto sw_it = env_.switch_nodes.find(it->second.update.switch_node);
-  if (sw_it != env_.switch_nodes.end()) {
-    milestone(Milestone::kSent, id);  // aggregator == crit/trace leader
-    send(sw_it->second, wire, obs::CritPhase::kPropagate, /*southbound=*/true);
+    p.frost_partials[m.signer_index] = z;
+    if (p.frost_partials.size() < p.frost_session.size()) return;
+    bucket.aggregating = true;
+    aggregate_and_ship(m.update_id, key);
+    return;
   }
-  agg_pending_.erase(it);
 }
 
 // ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@
 #include "core/messages.hpp"
 #include "core/audit.hpp"
 #include "core/pki.hpp"
+#include "core/quorum.hpp"
 #include "crypto/frost.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/simbls.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
@@ -222,12 +224,10 @@ class Controller {
   void on_peer_update(const UpdateMsg& m);  ///< aggregator role
   void on_frost_session(const FrostSessionMsg& m);   ///< signer role (kFrost)
   void on_frost_partial(const FrostPartialMsg& m);   ///< aggregator role (kFrost)
-  void maybe_start_frost_session(sched::UpdateId id);
   /// Sends the signing session to the member holding share `signer`
   /// (or runs our own round 2 when that is us).
   void send_session(sched::UpdateId id, const std::vector<crypto::FrostCommitment>& commitments,
                     crypto::ShareIndex signer, obs::CritPhase phase);
-  void finish_frost_aggregation(sched::UpdateId id);
   void forward_cross_domain(const Event& e, const std::set<net::DomainId>& domains);
   std::set<net::DomainId> domains_of_path(const std::vector<net::NodeIndex>& path) const;
 
@@ -249,33 +249,33 @@ class Controller {
   MembershipFn on_membership_;
   std::uint64_t origin_seq_ = 0;  ///< for membership events we originate
 
-  struct AggPending {
-    sched::Update update;
-    EventId cause;
-    util::Bytes signing_bytes;
-    std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
-    // kFrost: piggybacked nonce commitments, the chosen session, and the
-    // collected z_i partials.
+  /// Aggregator role: what one body bucket ships (`agg_sig` is filled at
+  /// shipping) and, under kFrost, its signing round — the piggybacked nonce
+  /// commitments, the chosen session and the collected z_i partials.
+  struct AggBody {
+    AggUpdateMsg msg;
     std::map<crypto::ShareIndex, crypto::FrostCommitment> frost_commitments;
     std::vector<crypto::FrostCommitment> frost_session;
     std::map<crypto::ShareIndex, crypto::Scalar> frost_partials;
-    bool session_started = false;
-    bool done = false;
   };
-  std::map<sched::UpdateId, AggPending> agg_pending_;
-  /// Aggregator role: ships one finished aggregate (either backend) to its
-  /// switch, caches it for replay and retires the pending entry.
-  void ship_aggregate(std::map<sched::UpdateId, AggPending>::iterator it, util::Bytes agg_sig);
-  /// Aggregator role: encoded AggUpdateMsg per completed update, replayed
+  /// Aggregator role: peers' bodies bucketed by the SHA-256 of their
+  /// signing bytes (core/quorum.hpp), so a Byzantine peer's body never
+  /// blocks the honest quorum.  SimBLS partials are filed only once
+  /// verified; a FROST bucket collects nonce commitments instead.
+  Buckets<crypto::Digest, AggBody> agg_pending_;
+  /// Aggregator role, once a bucket has its quorum: charges the
+  /// aggregation, combines with the backend's scheme and ships the result.
+  void aggregate_and_ship(sched::UpdateId id, const crypto::Digest& key);
+  /// Aggregator role: encoded AggUpdateMsg per shipped update, replayed
   /// when a peer retransmits (its partial arrived after aggregation, i.e.
   /// the aggregated update or the ack was lost somewhere downstream).
-  std::map<sched::UpdateId, util::Bytes> agg_completed_;
+  ReplayWindow<util::Bytes> agg_shipped_;
   std::unique_ptr<crypto::FrostSigner> frost_signer_;
   std::unique_ptr<crypto::Drbg> nonce_drbg_;
   /// Signer role: last FROST partial sent per update, replayed when the
   /// aggregator re-requests a session whose nonce we already consumed
   /// (same z, so no nonce reuse — covers a lost FrostPartialMsg).
-  std::map<sched::UpdateId, FrostPartialMsg> frost_sent_partials_;
+  ReplayWindow<FrostPartialMsg> frost_sent_partials_;
 
   /// Released updates awaiting a verified switch ack; drives the ack
   /// timeout/retransmission loop.  `timer` is the pending wakeup,

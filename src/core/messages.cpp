@@ -187,32 +187,6 @@ std::optional<PartialShareMsg> PartialShareMsg::decode(const util::Bytes& wire) 
   }
 }
 
-util::Bytes AggregatedUpdateMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kAggregatedUpdate));
-  update.serialize(w);
-  w.u32(cause.origin);
-  w.u64(cause.seq);
-  w.bytes(agg_sig);
-  return w.take();
-}
-
-std::optional<AggregatedUpdateMsg> AggregatedUpdateMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kAggregatedUpdate)) return std::nullopt;
-    AggregatedUpdateMsg m;
-    m.update = sched::Update::deserialize(r);
-    m.cause.origin = r.u32();
-    m.cause.seq = r.u64();
-    m.agg_sig = r.bytes();
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Acks
 // ---------------------------------------------------------------------------

@@ -12,13 +12,12 @@
 //   0x02  Event          switch -> control plane (or forwarded cross-domain)
 //   0x03  UpdateMsg      controller -> switch (or -> aggregator)
 //   0x04  AckMsg         switch -> control plane
-//   0x05  AggUpdateMsg   aggregator -> switch
+//   0x05  AggUpdateMsg   aggregator (controller or switch) -> switch
 //   0x06  ReshareMsg     old member -> new member (membership change)
 //   0x07  AggregatorNotifyMsg  control plane -> switch
 //   0x0A  ManifestMsg    controller -> switch (decentralized execution)
 //   0x0B  SegmentDoneMsg switch -> switch (decentralized execution)
 //   0x0C  PartialShareMsg      controller -> aggregator switch (in-network)
-//   0x0D  AggregatedUpdateMsg  aggregator switch -> target switch (in-network)
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,6 @@ enum class CoreMsgTag : std::uint8_t {
   kManifest = 0x0A,      ///< controller -> switch: decentralized segment manifest
   kSegmentDone = 0x0B,   ///< switch -> switch: in-band completion signal
   kPartialShare = 0x0C,  ///< controller -> aggregator switch: compact partial
-  kAggregatedUpdate = 0x0D,  ///< aggregator switch -> target switch: signed update
 };
 
 /// Which threshold scheme authenticates updates.  kSimBls is the paper's
@@ -126,6 +124,8 @@ struct UpdateMsg {
 };
 
 /// Aggregator -> switch: update plus the aggregated threshold signature.
+/// Sent by the kCiceroAgg aggregator controller and, in-network, by the
+/// aggregator switch fanning out to the target switch.
 struct AggUpdateMsg {
   sched::Update update;
   EventId cause;
@@ -148,19 +148,6 @@ struct PartialShareMsg {
 
   util::Bytes encode() const;
   static std::optional<PartialShareMsg> decode(const util::Bytes& wire);
-};
-
-/// Aggregator switch -> target switch (in-network aggregation): the update
-/// body plus the aggregated threshold signature.  Same shape as
-/// AggUpdateMsg but a distinct tag, so fan-out accounting and the
-/// switch-to-switch hop stay distinguishable on the wire and in telemetry.
-struct AggregatedUpdateMsg {
-  sched::Update update;
-  EventId cause;
-  util::Bytes agg_sig;
-
-  util::Bytes encode() const;
-  static std::optional<AggregatedUpdateMsg> decode(const util::Bytes& wire);
 };
 
 /// Switch -> control plane acknowledgement that `update_id` was applied.

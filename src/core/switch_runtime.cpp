@@ -8,20 +8,14 @@ namespace cicero::core {
 
 namespace {
 constexpr const char* kLog = "switch";
-
-/// The bucket for (id, key) in one of the runtime's bucket maps, or null.
-template <class Map, class Key>
-auto* find_bucket(Map& pending, sched::UpdateId id, const Key& key) {
-  using Bucket = typename Map::mapped_type::mapped_type;
-  const auto it = pending.find(id);
-  if (it == pending.end()) return static_cast<Bucket*>(nullptr);
-  const auto bit = it->second.find(key);
-  return bit == it->second.end() ? nullptr : &bit->second;
-}
 }  // namespace
 
 SwitchRuntime::SwitchRuntime(sim::Simulator& simulator, sim::NetworkSim& network, Config config)
-    : sim_(simulator), net_(network), config_(std::move(config)), cpu_(simulator) {
+    : sim_(simulator),
+      net_(network),
+      config_(std::move(config)),
+      cpu_(simulator),
+      innet_completed_(config_.applied_dedupe_window) {
   if (config_.obs != nullptr) {
     cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
     auto& m = config_.obs->metrics;
@@ -136,7 +130,6 @@ void SwitchRuntime::crash() {
   // routed to the domain's re-designated aggregator by the Deployment.
   innet_pending_.clear();
   innet_completed_.clear();
-  innet_completed_order_.clear();
 }
 
 void SwitchRuntime::recover() {
@@ -238,17 +231,6 @@ void SwitchRuntime::handle_message(sim::NodeId from, const util::Bytes& wire) {
       }
       break;
     }
-    case CoreMsgTag::kAggregatedUpdate: {
-      if (auto m = AggregatedUpdateMsg::decode(wire)) {
-        cpu_.execute(config_.costs.ctrl_msg_handling, "msg.handle", [this, from,
-                                                                     m = std::move(*m)] {
-          // Same dedupe/verify/apply path as controller-side aggregation:
-          // the only difference is who aggregated (a peer switch).
-          on_agg_update(from, AggUpdateMsg{m.update, m.cause, m.agg_sig});
-        });
-      }
-      break;
-    }
     case CoreMsgTag::kAggregatorNotify: {
       if (auto m = AggregatorNotifyMsg::decode(wire)) on_aggregator_notify(*m);
       break;
@@ -317,24 +299,6 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   });
 }
 
-template <class Key, class Body>
-bool SwitchRuntime::add_partial(Buckets<Key, Body>& pending, sched::UpdateId id,
-                                const Key& key, const crypto::PartialSignature& partial,
-                                const Body* body, util::Bytes signing_bytes) {
-  auto& buckets = pending[id];
-  const auto [it, opened] = buckets.try_emplace(key);
-  Bucket<Body>& bucket = it->second;
-  if (body != nullptr && bucket.signing_bytes.empty()) {
-    bucket.body = *body;
-    bucket.signing_bytes = std::move(signing_bytes);
-  }
-  bucket.partials[partial.signer] = partial;
-  if (!opened || buckets.size() != 2) return false;
-  CICERO_LOG_WARN(kLog, "s%u: conflicting bodies for update %llu", config_.topo_index,
-                  static_cast<unsigned long long>(id));
-  return true;
-}
-
 template <class Key, class Body, class Done>
 void SwitchRuntime::try_aggregate(Buckets<Key, Body>& pending, sched::UpdateId id,
                                   const Key& key, Done done) {
@@ -394,7 +358,7 @@ void SwitchRuntime::try_aggregate(Buckets<Key, Body>& pending, sched::UpdateId i
 
 bool SwitchRuntime::settled(sched::UpdateId id) const {
   return applied_ids_.count(id) != 0 || accepted_.count(id) != 0 ||
-         innet_completed_.count(id) != 0;
+         innet_completed_.contains(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,20 +366,20 @@ bool SwitchRuntime::settled(sched::UpdateId id) const {
 // ---------------------------------------------------------------------------
 
 bool SwitchRuntime::replay_innet(sched::UpdateId id, sim::NodeId from) {
-  const auto it = innet_completed_.find(id);
-  if (it == innet_completed_.end()) return false;
+  const InnetCompleted* done = innet_completed_.find(id);
+  if (done == nullptr) return false;
   // The replica retransmitted because it never saw the target's ack —
   // resend the cached fan-out; the target's own dedupe then re-acks the
   // whole control plane.  A self-targeted update has no hop to replay:
   // this switch applied it at fan-out, so it re-acks the replica itself.
   // Without a directory there is nowhere to send.
-  if (it->second.target_topo == config_.topo_index) {
+  if (done->target_topo == config_.topo_index) {
     send_ack(id, /*reissue=*/true, from);
     return true;
   }
-  if (it->second.target_node == sim::kInvalidNode) return true;
+  if (done->target_node == sim::kInvalidNode) return true;
   ++agg_replays_;
-  send(it->second.target_node, it->second.wire, obs::CritPhase::kRetransmit);
+  send(done->target_node, done->wire, obs::CritPhase::kRetransmit);
   return true;
 }
 
@@ -432,17 +396,18 @@ void SwitchRuntime::on_innet_partial(sim::NodeId from, sched::UpdateId id,
   if (partial.signer == 0) return;  // in-network traffic must carry a partial
   std::uint64_t digest = share_digest;
   util::Bytes signing_bytes;
-  AggregatedUpdateMsg out;
+  AggUpdateMsg out;
   if (body != nullptr) {
     signing_bytes = update_signing_bytes(body->update);
     digest = signing_digest64(signing_bytes);
-    out = AggregatedUpdateMsg{body->update, body->cause, {}};
+    out = AggUpdateMsg{body->update, body->cause, {}};
   }
   if (add_partial(innet_pending_, id, digest, partial, body != nullptr ? &out : nullptr,
-                  std::move(signing_bytes))) {
+                  std::move(signing_bytes))
+          .conflict) {
     report_innet_mismatch(id);
   }
-  try_aggregate(innet_pending_, id, digest, [this](AggregatedUpdateMsg agg, util::Bytes sig) {
+  try_aggregate(innet_pending_, id, digest, [this](AggUpdateMsg agg, util::Bytes sig) {
     agg.agg_sig = std::move(sig);
     fan_out(std::move(agg));
   });
@@ -466,7 +431,7 @@ void SwitchRuntime::report_innet_mismatch(sched::UpdateId id) {
   emit_event(std::move(e));
 }
 
-void SwitchRuntime::fan_out(AggregatedUpdateMsg out) {
+void SwitchRuntime::fan_out(AggUpdateMsg out) {
   const sched::UpdateId id = out.update.id;
   const util::Bytes wire = out.encode();
   // Cache the fan-out for idempotent replay; bounded like the apply-side
@@ -476,12 +441,7 @@ void SwitchRuntime::fan_out(AggregatedUpdateMsg out) {
       dir != nullptr && dir->count(out.update.switch_node) != 0
           ? dir->at(out.update.switch_node)
           : sim::kInvalidNode;
-  innet_completed_[id] = InnetCompleted{wire, out.update.switch_node, target};
-  innet_completed_order_.push_back(id);
-  while (innet_completed_order_.size() > config_.applied_dedupe_window) {
-    innet_completed_.erase(innet_completed_order_.front());
-    innet_completed_order_.pop_front();
-  }
+  innet_completed_.put(id, InnetCompleted{wire, out.update.switch_node, target});
 
   ++agg_fanouts_;
   m_agg_fanouts_.inc();

@@ -25,6 +25,7 @@
 #include "core/framework.hpp"
 #include "core/messages.hpp"
 #include "core/pki.hpp"
+#include "core/quorum.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/simbls.hpp"
 #include "net/flow_table.hpp"
@@ -148,26 +149,6 @@ class SwitchRuntime {
   std::size_t applied_dedupe_size() const { return applied_ids_.size(); }
 
  private:
-  // Identical-update counting (Fig. 6b), shared by every quorum path:
-  // partials are bucketed by the body they sign, so a Byzantine controller
-  // racing a corrupted body ahead of the honest copies can never block the
-  // honest quorum's bucket (nor merge with it).  `Body` is what the path's
-  // completion step consumes.  In-network buckets can collect compact
-  // shares before any body arrives; an empty `signing_bytes` means "no body
-  // yet".
-  template <class Body>
-  struct Bucket {
-    Body body;
-    util::Bytes signing_bytes;
-    std::map<crypto::ShareIndex, crypto::PartialSignature> partials;
-    bool aggregating = false;
-  };
-  /// update id -> body key -> bucket.  Update and manifest buckets are
-  /// keyed by the SHA-256 of the signing bytes, in-network buckets by the
-  /// 64-bit digest a PartialShareMsg carries.
-  template <class Key, class Body>
-  using Buckets = std::map<sched::UpdateId, std::map<Key, Bucket<Body>>>;
-
   // Decentralized mode (DESIGN.md §15): an accepted manifest waits locally
   // until every listed predecessor has signaled SegmentDone.
   struct AcceptedManifest {
@@ -187,7 +168,7 @@ class SwitchRuntime {
   /// replica retransmitting means the target's ack got lost — resend the
   /// fan-out, not a fresh aggregate).
   struct InnetCompleted {
-    util::Bytes wire;  ///< encoded AggregatedUpdateMsg
+    util::Bytes wire;  ///< encoded AggUpdateMsg
     net::NodeIndex target_topo = net::kNoNode;
     sim::NodeId target_node = sim::kInvalidNode;
   };
@@ -215,13 +196,6 @@ class SwitchRuntime {
   void on_innet_partial(sim::NodeId from, sched::UpdateId id,
                         const crypto::PartialSignature& partial, const UpdateMsg* body,
                         std::uint64_t share_digest);
-  /// Files `partial` into the bucket for `key`, storing `body` and its
-  /// signing bytes if the bucket has no body yet (`body` may be null).
-  /// Returns true when this opened a second, conflicting bucket for `id`.
-  template <class Key, class Body>
-  bool add_partial(Buckets<Key, Body>& pending, sched::UpdateId id, const Key& key,
-                   const crypto::PartialSignature& partial, const Body* body,
-                   util::Bytes signing_bytes);
   /// Once the bucket holds a body and a quorum: charges aggregation plus
   /// one threshold verification, then aggregates with quorum-subset
   /// exclusion.  On success the id's buckets are dropped and `done(body,
@@ -234,7 +208,7 @@ class SwitchRuntime {
   /// (in-network): a late quorum for it is a no-op.
   bool settled(sched::UpdateId id) const;
   /// In-network completion: cache and fan out the aggregated update.
-  void fan_out(AggregatedUpdateMsg out);
+  void fan_out(AggUpdateMsg out);
   /// Replays the cached fan-out for a duplicate of a completed id, or
   /// re-acks `from` when this switch was the target; returns false when
   /// the id is not in the completed cache.
@@ -290,9 +264,8 @@ class SwitchRuntime {
   std::uint64_t agg_mismatches_ = 0;
 
   // In-network aggregation state (aggregator role only).
-  Buckets<std::uint64_t, AggregatedUpdateMsg> innet_pending_;
-  std::map<sched::UpdateId, InnetCompleted> innet_completed_;
-  std::deque<sched::UpdateId> innet_completed_order_;
+  Buckets<std::uint64_t, AggUpdateMsg> innet_pending_;
+  ReplayWindow<InnetCompleted> innet_completed_;
 
   // Decentralized mode state.
   Buckets<crypto::Digest, SegmentManifest> pending_manifests_;

@@ -116,13 +116,7 @@ class CritPath {
   CritPath& operator=(const CritPath&) = delete;
 
   bool enabled() const { return enabled_; }
-  void set_enabled(bool on) {
-#ifndef CICERO_OBS_NOOP
-    enabled_ = on;
-#else
-    (void)on;
-#endif
-  }
+  void set_enabled(bool on) { enabled_ = on; }
 
   // --- recording (cheap early-outs while disabled) ---
   /// Intent submission, keyed by the cause event until the schedule step

@@ -8,9 +8,7 @@
 // into a handle holding a raw pointer to the backing cell.  Recording is
 // a pointer-null check plus an add — no lookup, no allocation, no lock
 // (the simulator is single-threaded).  A registry constructed disabled
-// hands out null handles, so the disabled path is a dead branch; defining
-// CICERO_OBS_NOOP at compile time (cmake -DCICERO_OBS=OFF) empties the
-// record methods entirely.
+// hands out null handles, so the disabled path is a dead branch.
 #pragma once
 
 #include <atomic>
@@ -36,13 +34,7 @@ struct HistogramCell {
 class Counter {
  public:
   Counter() = default;
-  void inc(std::uint64_t delta = 1) {
-#ifndef CICERO_OBS_NOOP
-    if (cell_ != nullptr) *cell_ += delta;
-#else
-    (void)delta;
-#endif
-  }
+  void inc(std::uint64_t delta = 1) { if (cell_ != nullptr) *cell_ += delta; }
   std::uint64_t value() const { return cell_ != nullptr ? *cell_ : 0; }
 
  private:
@@ -54,20 +46,8 @@ class Counter {
 class Gauge {
  public:
   Gauge() = default;
-  void set(double v) {
-#ifndef CICERO_OBS_NOOP
-    if (cell_ != nullptr) *cell_ = v;
-#else
-    (void)v;
-#endif
-  }
-  void add(double delta) {
-#ifndef CICERO_OBS_NOOP
-    if (cell_ != nullptr) *cell_ += delta;
-#else
-    (void)delta;
-#endif
-  }
+  void set(double v) { if (cell_ != nullptr) *cell_ = v; }
+  void add(double delta) { if (cell_ != nullptr) *cell_ += delta; }
   double value() const { return cell_ != nullptr ? *cell_ : 0.0; }
 
  private:
@@ -80,7 +60,6 @@ class Histogram {
  public:
   Histogram() = default;
   void observe(double x) {
-#ifndef CICERO_OBS_NOOP
     if (cell_ == nullptr) return;
     HistogramCell& h = *cell_;
     // Linear scan: bucket counts are small (<= ~24) and the early buckets
@@ -96,9 +75,6 @@ class Histogram {
     }
     ++h.count;
     h.sum += x;
-#else
-    (void)x;
-#endif
   }
   const HistogramCell* cell() const { return cell_; }
 

@@ -77,6 +77,53 @@ TEST(Byzantine, SilentControllerDoesNotBlockCicero) {
   EXPECT_EQ(completed_count(*dep), flows.size());
 }
 
+/// One replica of a kCiceroAgg control plane mutates every update it
+/// signs, under each threshold backend.  Index 0 is the aggregator itself:
+/// its own corrupted body reaches its buckets first.
+struct MutatingReplicaCase {
+  core::ThresholdBackend backend;
+  std::size_t controller;  ///< index into controller_ids()
+};
+
+class MutatingReplica : public ::testing::TestWithParam<MutatingReplicaCase> {};
+
+TEST_P(MutatingReplica, CannotStallCiceroAgg) {
+  // The aggregator buckets peers' bodies by digest (§4.2 with P4BFT-style
+  // response comparison): a corrupted body that arrives first opens its
+  // own bucket, and the honest quorum still aggregates and ships.
+  core::DeploymentParams dp;
+  dp.framework = FrameworkKind::kCiceroAgg;
+  dp.backend = GetParam().backend;
+  dp.controllers_per_domain = 4;
+  dp.seed = 12345;
+  core::Deployment dep(net::build_pod(small_pod()), dp);
+  RuleAuditor audit(dep);
+  dep.set_controller_fault(dep.controller_ids()[GetParam().controller],
+                           ControllerFault::kMutateUpdates);
+  const auto flows = small_workload(dep.topology(), 40);
+  dep.inject(flows);
+  dep.run(sim::seconds(30));
+  EXPECT_EQ(completed_count(dep), flows.size());
+  EXPECT_EQ(dep.pending_updates(), 0u);
+  EXPECT_EQ(audit.corrupted(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Byzantine, MutatingReplica,
+    ::testing::Values(MutatingReplicaCase{core::ThresholdBackend::kSimBls, 0},
+                      MutatingReplicaCase{core::ThresholdBackend::kSimBls, 1},
+                      MutatingReplicaCase{core::ThresholdBackend::kSimBls, 2},
+                      MutatingReplicaCase{core::ThresholdBackend::kSimBls, 3},
+                      MutatingReplicaCase{core::ThresholdBackend::kFrost, 0},
+                      MutatingReplicaCase{core::ThresholdBackend::kFrost, 1},
+                      MutatingReplicaCase{core::ThresholdBackend::kFrost, 2},
+                      MutatingReplicaCase{core::ThresholdBackend::kFrost, 3}),
+    [](const auto& info) {
+      return std::string(info.param.backend == core::ThresholdBackend::kFrost ? "Frost"
+                                                                               : "SimBls") +
+             "Controller" + std::to_string(info.param.controller);
+    });
+
 TEST(Byzantine, SilentAggregatorStallsWithoutReassignment) {
   // §3.3's stated trade-off: controller aggregation must handle aggregator
   // failure.  Without membership action the data plane stalls...
