@@ -153,7 +153,7 @@ void PbftReplica::handle(const BftMessage& m) {
       handle_fetch_reply(m);
       break;
     case BftMsgType::kHeartbeat:
-      break;  // consumed by the failure detector, not the replica
+      break;  // the default type: carries no replica protocol step
   }
 }
 

@@ -416,7 +416,6 @@ void Controller::send_update(const sched::Update& update, const EventId& cause) 
 
 void Controller::await_ack(sched::UpdateId id, const EventId& cause) {
   update_sent_at_.emplace(id, sim_.now());
-  if (config_.ack_timeout <= 0 || config_.update_max_retries == 0) return;
   Inflight& fl = inflight_[id];
   fl.cause = cause;
   fl.attempt = 0;

@@ -94,7 +94,6 @@ class Controller {
     /// with exponential backoff, up to `update_max_retries` resends.
     /// Covers updates and acks lost or delayed by the network; switches
     /// deduplicate by update id and re-ack, so resends are idempotent.
-    /// `ack_timeout <= 0` or `update_max_retries == 0` disables.
     sim::SimTime ack_timeout = sim::milliseconds(500);
     std::uint32_t update_max_retries = 6;
     /// Optional metrics/tracing sink, shared deployment-wide.  The trace

@@ -60,8 +60,7 @@ struct DeploymentParams {
   /// Tear the route down after each flow completes (Fig. 11c's
   /// unamortized setup/teardown mode).
   bool teardown_after_flow = false;
-  /// Controller-side apply/ack retransmission (see Controller::Config);
-  /// `ack_timeout <= 0` or `update_max_retries == 0` disables.
+  /// Controller-side apply/ack retransmission (see Controller::Config).
   sim::SimTime ack_timeout = sim::milliseconds(500);
   std::uint32_t update_max_retries = 6;
   /// Metrics recording (counters/histograms); near-zero cost, on by

@@ -1,72 +1,179 @@
 #include "core/messages.hpp"
 
+#include <string_view>
+#include <type_traits>
+
 #include "crypto/sha256.hpp"
 
 namespace cicero::core {
+
+namespace {
+
+// The field adapters (see "Field lists" in messages.hpp).  Encoder and
+// Decoder hold one overload per field kind, so each kind's format is
+// written once per direction and every message shares it.
+
+template <class T, class Io>
+concept HasFields = requires(T& t, Io& io) { t.fields(io); };
+
+class Encoder {
+ public:
+  template <class... F>
+  void operator()(const F&... f) {
+    (put(f), ...);
+  }
+  util::Writer w;
+
+ private:
+  void put(std::uint32_t v) { w.u32(v); }
+  void put(std::uint64_t v) { w.u64(v); }
+  void put(double v) { w.f64(v); }
+  void put(bool v) { w.boolean(v); }
+  void put(const util::Bytes& v) { w.bytes(v); }
+  void put(const crypto::PartialSignature& p) {
+    w.bytes(p.signer == 0 ? util::Bytes{} : p.to_bytes());
+  }
+  template <class E>
+    requires std::is_enum_v<E>
+  void put(E v) {
+    w.u8(static_cast<std::uint8_t>(v));
+  }
+  template <class T>
+  void put(const std::vector<T>& v) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const T& x : v) put(x);
+  }
+  // Field lists serve both directions, so they take a mutable object; the
+  // encoder only reads through it.
+  template <class T>
+    requires HasFields<T, Encoder>
+  void put(const T& v) {
+    const_cast<T&>(v).fields(*this);
+  }
+};
+
+class Decoder {
+ public:
+  explicit Decoder(const util::Bytes& wire) : r(wire) {}
+  template <class... F>
+  void operator()(F&... f) {
+    (get(f), ...);
+  }
+  util::Reader r;
+
+ private:
+  void get(std::uint32_t& v) { v = r.u32(); }
+  void get(std::uint64_t& v) { v = r.u64(); }
+  void get(double& v) { v = r.f64(); }
+  void get(bool& v) { v = r.boolean(); }
+  void get(util::Bytes& v) { v = r.bytes(); }
+  void get(crypto::PartialSignature& p) {
+    const util::Bytes b = r.bytes();
+    if (b.empty()) return;  // no partial (centralized / crash-tolerant)
+    auto parsed = crypto::PartialSignature::from_bytes(b);
+    if (!parsed) throw util::DeserializeError("malformed partial signature");
+    p = std::move(*parsed);
+  }
+  template <class E>
+    requires std::is_enum_v<E>
+  void get(E& v) {
+    const std::uint8_t raw = r.u8();
+    if (raw > static_cast<std::uint8_t>(wire_max(E{}))) {
+      throw util::DeserializeError("enum value out of range");
+    }
+    v = static_cast<E>(raw);
+  }
+  template <class T>
+  void get(std::vector<T>& v) {
+    // No reserve(n): the count is untrusted.
+    for (std::uint32_t n = r.u32(); n > 0; --n) get(v.emplace_back());
+  }
+  template <class T>
+    requires HasFields<T, Decoder>
+  void get(T& v) {
+    v.fields(*this);
+  }
+};
+
+template <class Msg>
+util::Bytes encode_message(const Msg& m) {
+  Encoder e;
+  e(Msg::kTag, m);
+  return e.w.take();
+}
+
+// The one decoder: tag, fields, nothing trailing; any malformed input
+// (truncation, bad length, out-of-range enum, bad partial) is nullopt.
+template <class Msg>
+std::optional<Msg> decode_message(const util::Bytes& wire) {
+  try {
+    Decoder d(wire);
+    if (d.r.u8() != static_cast<std::uint8_t>(Msg::kTag)) return std::nullopt;
+    Msg m;
+    m.fields(d);
+    d.r.expect_end();
+    return m;
+  } catch (const util::DeserializeError&) {
+    return std::nullopt;
+  }
+}
+
+/// Domain-separated signed bytes: `domain`, then `f...` as on the wire.
+template <class... F>
+util::Bytes signed_bytes(std::string_view domain, const F&... f) {
+  Encoder e;
+  e.w.str(domain);
+  e(f...);
+  return e.w.take();
+}
+
+/// The signed bytes of a PKI-signed message: `domain`, then its
+/// `signed_fields` as on the wire.
+template <class Msg>
+util::Bytes signed_body(std::string_view domain, const Msg& m) {
+  Encoder e;
+  e.w.str(domain);
+  const_cast<Msg&>(m).signed_fields(e);
+  return e.w.take();
+}
+
+}  // namespace
+
+#define CICERO_CORE_CODEC(Msg)                                      \
+  util::Bytes Msg::encode() const { return encode_message(*this); } \
+  std::optional<Msg> Msg::decode(const util::Bytes& wire) {         \
+    return decode_message<Msg>(wire);                               \
+  }
+
+CICERO_CORE_CODEC(Event)
+CICERO_CORE_CODEC(UpdateMsg)
+CICERO_CORE_CODEC(AggUpdateMsg)
+CICERO_CORE_CODEC(PartialShareMsg)
+CICERO_CORE_CODEC(AckMsg)
+CICERO_CORE_CODEC(FrostSessionMsg)
+CICERO_CORE_CODEC(FrostPartialMsg)
+CICERO_CORE_CODEC(AggregatorNotifyMsg)
+CICERO_CORE_CODEC(ManifestMsg)
+CICERO_CORE_CODEC(SegmentDoneMsg)
+
+#undef CICERO_CORE_CODEC
 
 std::optional<std::uint8_t> peek_tag(const util::Bytes& wire) {
   if (wire.empty()) return std::nullopt;
   return wire.front();
 }
 
-// ---------------------------------------------------------------------------
-// Event
-// ---------------------------------------------------------------------------
+util::Bytes Event::body() const { return signed_body("cicero/event", *this); }
+util::Bytes AckMsg::body() const { return signed_body("cicero/ack", *this); }
+util::Bytes SegmentDoneMsg::body() const { return signed_body("cicero/segdone", *this); }
 
-util::Bytes Event::body() const {
-  util::Writer w;
-  w.str("cicero/event");
-  w.u32(id.origin);
-  w.u64(id.seq);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u32(match.src_host);
-  w.u32(match.dst_host);
-  w.f64(reserved_bps);
-  w.u32(member);
-  return w.take();
+util::Bytes update_signing_bytes(const sched::Update& update) {
+  return signed_bytes("cicero/update", update);
 }
 
-util::Bytes Event::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kEvent));
-  w.u32(id.origin);
-  w.u64(id.seq);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u32(match.src_host);
-  w.u32(match.dst_host);
-  w.f64(reserved_bps);
-  w.u32(member);
-  w.boolean(forwarded);
-  w.bytes(sig);
-  return w.take();
+util::Bytes manifest_signing_bytes(const SegmentManifest& manifest, std::uint64_t epoch) {
+  return signed_bytes("cicero/manifest", manifest, epoch);
 }
-
-std::optional<Event> Event::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kEvent)) return std::nullopt;
-    Event e;
-    e.id.origin = r.u32();
-    e.id.seq = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(EventKind::kAggMismatch)) return std::nullopt;
-    e.kind = static_cast<EventKind>(kind);
-    e.match.src_host = r.u32();
-    e.match.dst_host = r.u32();
-    e.reserved_bps = r.f64();
-    e.member = r.u32();
-    e.forwarded = r.boolean();
-    e.sig = r.bytes();
-    r.expect_end();
-    return e;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Updates
-// ---------------------------------------------------------------------------
 
 sched::UpdateId update_id_base(const EventId& cause) {
   // 24 bits of origin, 32 bits of per-origin sequence, 8 bits of update
@@ -76,13 +183,6 @@ sched::UpdateId update_id_base(const EventId& cause) {
          ((cause.seq & 0xFFFFFFFFULL) << 8);
 }
 
-util::Bytes update_signing_bytes(const sched::Update& update) {
-  util::Writer w;
-  w.str("cicero/update");
-  update.serialize(w);
-  return w.take();
-}
-
 std::uint64_t signing_digest64(const util::Bytes& signing_bytes) {
   const crypto::Digest d = crypto::Sha256::hash(signing_bytes);
   std::uint64_t dig = 0;
@@ -90,379 +190,6 @@ std::uint64_t signing_digest64(const util::Bytes& signing_bytes) {
     dig |= static_cast<std::uint64_t>(d[i]) << (8 * i);
   }
   return dig;
-}
-
-util::Bytes UpdateMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kUpdate));
-  update.serialize(w);
-  w.u32(cause.origin);
-  w.u64(cause.seq);
-  // No partial (centralized / crash-tolerant) encodes as an empty string.
-  w.bytes(partial.signer == 0 ? util::Bytes{} : partial.to_bytes());
-  w.bytes(frost_commitment);
-  return w.take();
-}
-
-std::optional<UpdateMsg> UpdateMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kUpdate)) return std::nullopt;
-    UpdateMsg m;
-    m.update = sched::Update::deserialize(r);
-    m.cause.origin = r.u32();
-    m.cause.seq = r.u64();
-    const util::Bytes pb = r.bytes();
-    m.frost_commitment = r.bytes();
-    r.expect_end();
-    if (!pb.empty()) {
-      auto p = crypto::PartialSignature::from_bytes(pb);
-      if (!p) return std::nullopt;
-      m.partial = std::move(*p);
-    }
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-util::Bytes AggUpdateMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kAggUpdate));
-  update.serialize(w);
-  w.u32(cause.origin);
-  w.u64(cause.seq);
-  w.bytes(agg_sig);
-  return w.take();
-}
-
-std::optional<AggUpdateMsg> AggUpdateMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kAggUpdate)) return std::nullopt;
-    AggUpdateMsg m;
-    m.update = sched::Update::deserialize(r);
-    m.cause.origin = r.u32();
-    m.cause.seq = r.u64();
-    m.agg_sig = r.bytes();
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// In-network aggregation (P4BFT-style offload)
-// ---------------------------------------------------------------------------
-
-util::Bytes PartialShareMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kPartialShare));
-  w.u64(update_id);
-  w.u64(digest);
-  // No partial (defensive: never sent by the unauthenticated baselines)
-  // encodes as an empty string, same as UpdateMsg.
-  w.bytes(partial.signer == 0 ? util::Bytes{} : partial.to_bytes());
-  return w.take();
-}
-
-std::optional<PartialShareMsg> PartialShareMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kPartialShare)) return std::nullopt;
-    PartialShareMsg m;
-    m.update_id = r.u64();
-    m.digest = r.u64();
-    const util::Bytes pb = r.bytes();
-    r.expect_end();
-    if (!pb.empty()) {
-      auto p = crypto::PartialSignature::from_bytes(pb);
-      if (!p) return std::nullopt;
-      m.partial = std::move(*p);
-    }
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Acks
-// ---------------------------------------------------------------------------
-
-util::Bytes AckMsg::body() const {
-  util::Writer w;
-  w.str("cicero/ack");
-  w.u64(update_id);
-  w.u32(switch_node);
-  return w.take();
-}
-
-util::Bytes AckMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kAck));
-  w.u64(update_id);
-  w.u32(switch_node);
-  w.bytes(sig);
-  return w.take();
-}
-
-std::optional<AckMsg> AckMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kAck)) return std::nullopt;
-    AckMsg m;
-    m.update_id = r.u64();
-    m.switch_node = r.u32();
-    m.sig = r.bytes();
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FROST signing round (controller aggregation with the kFrost backend)
-// ---------------------------------------------------------------------------
-
-util::Bytes FrostSessionMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kFrostSession));
-  w.u64(update_id);
-  w.u32(static_cast<std::uint32_t>(commitments.size()));
-  for (const auto& c : commitments) w.bytes(c);
-  return w.take();
-}
-
-std::optional<FrostSessionMsg> FrostSessionMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kFrostSession)) return std::nullopt;
-    FrostSessionMsg m;
-    m.update_id = r.u64();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) m.commitments.push_back(r.bytes());
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-util::Bytes FrostPartialMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kFrostPartial));
-  w.u64(update_id);
-  w.u32(signer_index);
-  w.bytes(z);
-  return w.take();
-}
-
-std::optional<FrostPartialMsg> FrostPartialMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kFrostPartial)) return std::nullopt;
-    FrostPartialMsg m;
-    m.update_id = r.u64();
-    m.signer_index = r.u32();
-    m.z = r.bytes();
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Membership
-// ---------------------------------------------------------------------------
-
-util::Bytes ReshareMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kReshare));
-  w.u32(dealer_member);
-  w.u64(phase);
-  w.u32(dealer_index);
-  w.u32(static_cast<std::uint32_t>(commitments.size()));
-  for (const auto& c : commitments) w.bytes(c);
-  w.u32(receiver_index);
-  w.bytes(share);
-  return w.take();
-}
-
-std::optional<ReshareMsg> ReshareMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kReshare)) return std::nullopt;
-    ReshareMsg m;
-    m.dealer_member = r.u32();
-    m.phase = r.u64();
-    m.dealer_index = r.u32();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) m.commitments.push_back(r.bytes());
-    m.receiver_index = r.u32();
-    m.share = r.bytes();
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-util::Bytes AggregatorNotifyMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kAggregatorNotify));
-  w.u64(phase);
-  w.u32(aggregator);
-  w.u32(quorum);
-  w.u32(static_cast<std::uint32_t>(controllers.size()));
-  for (const auto c : controllers) w.u32(c);
-  return w.take();
-}
-
-std::optional<AggregatorNotifyMsg> AggregatorNotifyMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kAggregatorNotify)) return std::nullopt;
-    AggregatorNotifyMsg m;
-    m.phase = r.u64();
-    m.aggregator = r.u32();
-    m.quorum = r.u32();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) m.controllers.push_back(r.u32());
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Decentralized execution (segment manifests and in-band completion)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void serialize_peers(util::Writer& w, const std::vector<SegmentPeer>& peers) {
-  w.u32(static_cast<std::uint32_t>(peers.size()));
-  for (const SegmentPeer& p : peers) {
-    w.u64(p.update_id);
-    w.u32(p.switch_node);
-    w.u32(p.node);
-  }
-}
-
-std::vector<SegmentPeer> deserialize_peers(util::Reader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<SegmentPeer> peers;  // no reserve(n): the count is untrusted
-  for (std::uint32_t i = 0; i < n; ++i) {
-    SegmentPeer p;
-    p.update_id = r.u64();
-    p.switch_node = r.u32();
-    p.node = r.u32();
-    peers.push_back(p);
-  }
-  return peers;
-}
-
-void serialize_manifest(util::Writer& w, const SegmentManifest& m) {
-  m.update.serialize(w);
-  serialize_peers(w, m.preds);
-  serialize_peers(w, m.succs);
-  w.boolean(m.sink);
-}
-
-SegmentManifest deserialize_manifest(util::Reader& r) {
-  SegmentManifest m;
-  m.update = sched::Update::deserialize(r);
-  m.preds = deserialize_peers(r);
-  m.succs = deserialize_peers(r);
-  m.sink = r.boolean();
-  return m;
-}
-
-}  // namespace
-
-util::Bytes manifest_signing_bytes(const SegmentManifest& manifest, std::uint64_t epoch) {
-  util::Writer w;
-  w.str("cicero/manifest");
-  serialize_manifest(w, manifest);
-  w.u64(epoch);
-  return w.take();
-}
-
-util::Bytes ManifestMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kManifest));
-  serialize_manifest(w, manifest);
-  w.u32(cause.origin);
-  w.u64(cause.seq);
-  w.u64(epoch);
-  // No partial (centralized / crash-tolerant) encodes as an empty string.
-  w.bytes(partial.signer == 0 ? util::Bytes{} : partial.to_bytes());
-  return w.take();
-}
-
-std::optional<ManifestMsg> ManifestMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kManifest)) return std::nullopt;
-    ManifestMsg m;
-    m.manifest = deserialize_manifest(r);
-    m.cause.origin = r.u32();
-    m.cause.seq = r.u64();
-    m.epoch = r.u64();
-    const util::Bytes pb = r.bytes();
-    r.expect_end();
-    if (!pb.empty()) {
-      auto p = crypto::PartialSignature::from_bytes(pb);
-      if (!p) return std::nullopt;
-      m.partial = std::move(*p);
-    }
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
-util::Bytes SegmentDoneMsg::body() const {
-  util::Writer w;
-  w.str("cicero/segdone");
-  w.u64(for_update);
-  w.u64(done_update);
-  w.u32(switch_node);
-  w.u64(epoch);
-  return w.take();
-}
-
-util::Bytes SegmentDoneMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(CoreMsgTag::kSegmentDone));
-  w.u64(for_update);
-  w.u64(done_update);
-  w.u32(switch_node);
-  w.u64(epoch);
-  w.bytes(sig);
-  return w.take();
-}
-
-std::optional<SegmentDoneMsg> SegmentDoneMsg::decode(const util::Bytes& wire) {
-  try {
-    util::Reader r(wire);
-    if (r.u8() != static_cast<std::uint8_t>(CoreMsgTag::kSegmentDone)) return std::nullopt;
-    SegmentDoneMsg m;
-    m.for_update = r.u64();
-    m.done_update = r.u64();
-    m.switch_node = r.u32();
-    m.epoch = r.u64();
-    m.sig = r.bytes();
-    r.expect_end();
-    return m;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
 }
 
 }  // namespace cicero::core

@@ -8,16 +8,28 @@
 //
 // Wire tags (first byte) shared by all traffic arriving at a node:
 //   0xBF  BFT atomic broadcast       (bft/messages.hpp)
-//   0xB7  failure-detector heartbeat (bft/failure_detector.hpp)
 //   0x02  Event          switch -> control plane (or forwarded cross-domain)
 //   0x03  UpdateMsg      controller -> switch (or -> aggregator)
 //   0x04  AckMsg         switch -> control plane
 //   0x05  AggUpdateMsg   aggregator (controller or switch) -> switch
-//   0x06  ReshareMsg     old member -> new member (membership change)
+//   0x06  retired (a membership-reshare message no node sent); never reuse
 //   0x07  AggregatorNotifyMsg  control plane -> switch
+//   0x08  FrostSessionMsg      aggregator -> signers (FROST backend)
+//   0x09  FrostPartialMsg      signer -> aggregator (FROST backend)
 //   0x0A  ManifestMsg    controller -> switch (decentralized execution)
 //   0x0B  SegmentDoneMsg switch -> switch (decentralized execution)
 //   0x0C  PartialShareMsg      controller -> aggregator switch (in-network)
+//
+// Field lists.  Each message declares its wire fields once, in wire order,
+// as `template <class Io> void fields(Io& io)`; messages.cpp derives the
+// encoder, the decoder and the signed bytes from that one list, and its
+// decoder is the only place that checks the tag and the frame end and turns
+// a DeserializeError into nullopt.  `io(a, b, ...)` visits each field:
+// u32 and u64 integers, double and bool at their own width; an enum as one
+// byte no larger than its `wire_max`; util::Bytes and vectors behind a u32
+// count; a struct through its own `fields`; and a PartialSignature as empty
+// bytes (no partial) or its canonical encoding.  A PKI-signed message splits
+// off `signed_fields`, the portion its signature covers.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +49,6 @@ enum class CoreMsgTag : std::uint8_t {
   kUpdate = 0x03,
   kAck = 0x04,
   kAggUpdate = 0x05,
-  kReshare = 0x06,
   kAggregatorNotify = 0x07,
   kFrostSession = 0x08,  ///< aggregator -> signers: chosen commitment set
   kFrostPartial = 0x09,  ///< signer -> aggregator: z_i for a session
@@ -63,6 +74,11 @@ struct EventId {
   std::uint64_t seq = 0;
   bool operator==(const EventId&) const = default;
   auto operator<=>(const EventId&) const = default;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(origin, seq);
+  }
 };
 
 constexpr std::uint32_t kControllerOriginBase = 1u << 24;
@@ -74,6 +90,7 @@ enum class EventKind : std::uint8_t {
   kRemoveController = 3,
   kAggMismatch = 4,  ///< aggregator switch saw conflicting replica digests
 };
+constexpr EventKind wire_max(EventKind) { return EventKind::kAggMismatch; }
 
 /// A data-plane (or membership) event.  Signed by its origin's PKI key;
 /// the signature covers `body()` so forwarding across domains preserves
@@ -81,6 +98,7 @@ enum class EventKind : std::uint8_t {
 /// the flag is OUTSIDE the signed body for exactly that reason, and
 /// event identity/dedup is by `id`).
 struct Event {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kEvent;
   EventId id;
   EventKind kind = EventKind::kFlowRequest;
   net::FlowMatch match;
@@ -89,6 +107,15 @@ struct Event {
   bool forwarded = false;    ///< set when relayed to another domain
   util::Bytes sig;
 
+  template <class Io>
+  void signed_fields(Io& io) {
+    io(id, kind, match.src_host, match.dst_host, reserved_bps, member);
+  }
+  template <class Io>
+  void fields(Io& io) {
+    signed_fields(io);
+    io(forwarded, sig);
+  }
   util::Bytes body() const;  ///< signed portion
   util::Bytes encode() const;
   static std::optional<Event> decode(const util::Bytes& wire);
@@ -109,6 +136,7 @@ std::uint64_t signing_digest64(const util::Bytes& signing_bytes);
 
 /// Controller -> switch (switch aggregation) or -> aggregator.
 struct UpdateMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kUpdate;
   sched::Update update;
   EventId cause;
   /// Threshold partial signature; empty payload in the centralized and
@@ -119,6 +147,10 @@ struct UpdateMsg {
   /// the aggregator can assemble a signing session without an extra round.
   util::Bytes frost_commitment;
 
+  template <class Io>
+  void fields(Io& io) {
+    io(update, cause, partial, frost_commitment);
+  }
   util::Bytes encode() const;
   static std::optional<UpdateMsg> decode(const util::Bytes& wire);
 };
@@ -127,10 +159,15 @@ struct UpdateMsg {
 /// Sent by the kCiceroAgg aggregator controller and, in-network, by the
 /// aggregator switch fanning out to the target switch.
 struct AggUpdateMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kAggUpdate;
   sched::Update update;
   EventId cause;
   util::Bytes agg_sig;
 
+  template <class Io>
+  void fields(Io& io) {
+    io(update, cause, agg_sig);
+  }
   util::Bytes encode() const;
   static std::optional<AggUpdateMsg> decode(const util::Bytes& wire);
 };
@@ -142,20 +179,35 @@ struct AggUpdateMsg {
 /// aggregator buckets and compares), and the partial itself — the whole
 /// point is that n-1 replicas avoid resending the full update body.
 struct PartialShareMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kPartialShare;
   sched::UpdateId update_id = 0;
   std::uint64_t digest = 0;  ///< first 8 bytes of sha256(update_signing_bytes)
   crypto::PartialSignature partial;
 
+  template <class Io>
+  void fields(Io& io) {
+    io(update_id, digest, partial);
+  }
   util::Bytes encode() const;
   static std::optional<PartialShareMsg> decode(const util::Bytes& wire);
 };
 
 /// Switch -> control plane acknowledgement that `update_id` was applied.
 struct AckMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kAck;
   sched::UpdateId update_id = 0;
   std::uint32_t switch_node = 0;  ///< topology index
   util::Bytes sig;                ///< switch PKI signature over body()
 
+  template <class Io>
+  void signed_fields(Io& io) {
+    io(update_id, switch_node);
+  }
+  template <class Io>
+  void fields(Io& io) {
+    signed_fields(io);
+    io(sig);
+  }
   util::Bytes body() const;
   util::Bytes encode() const;
   static std::optional<AckMsg> decode(const util::Bytes& wire);
@@ -164,46 +216,47 @@ struct AckMsg {
 /// Aggregator -> signers: the FROST signing session for one update (the
 /// quorum's nonce commitments, taken from their UpdateMsg piggybacks).
 struct FrostSessionMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kFrostSession;
   sched::UpdateId update_id = 0;
   std::vector<util::Bytes> commitments;  ///< serialized FrostCommitment set
 
+  template <class Io>
+  void fields(Io& io) {
+    io(update_id, commitments);
+  }
   util::Bytes encode() const;
   static std::optional<FrostSessionMsg> decode(const util::Bytes& wire);
 };
 
 /// Signer -> aggregator: the FROST partial for a session.
 struct FrostPartialMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kFrostPartial;
   sched::UpdateId update_id = 0;
   std::uint32_t signer_index = 0;  ///< share index
   util::Bytes z;                   ///< scalar bytes
 
+  template <class Io>
+  void fields(Io& io) {
+    io(update_id, signer_index, z);
+  }
   util::Bytes encode() const;
   static std::optional<FrostPartialMsg> decode(const util::Bytes& wire);
-};
-
-/// Old member -> new member: one resharing deal of a membership change
-/// (carries real crypto::ReshareDeal content).
-struct ReshareMsg {
-  std::uint32_t dealer_member = 0;  ///< controller id of the dealer
-  std::uint64_t phase = 0;          ///< membership phase being established
-  crypto::ShareIndex dealer_index = 0;
-  std::vector<util::Bytes> commitments;  ///< serialized points
-  crypto::ShareIndex receiver_index = 0;
-  util::Bytes share;  ///< scalar dealt to the receiver
-
-  util::Bytes encode() const;
-  static std::optional<ReshareMsg> decode(const util::Bytes& wire);
 };
 
 /// Control plane -> switch: the current aggregator (or none) and quorum.
 /// In the paper this rides on OpenFlow "master/slave role request"
 /// messages; here it also refreshes the member list after a change.
 struct AggregatorNotifyMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kAggregatorNotify;
   std::uint64_t phase = 0;
   sim::NodeId aggregator = UINT32_MAX;
   std::uint32_t quorum = 0;
   std::vector<sim::NodeId> controllers;
 
+  template <class Io>
+  void fields(Io& io) {
+    io(phase, aggregator, quorum, controllers);
+  }
   util::Bytes encode() const;
   static std::optional<AggregatorNotifyMsg> decode(const util::Bytes& wire);
 };
@@ -218,6 +271,10 @@ struct SegmentPeer {
   sim::NodeId node = 0;           ///< sim address of the peer's switch
 
   bool operator==(const SegmentPeer&) const = default;
+  template <class Io>
+  void fields(Io& io) {
+    io(update_id, switch_node, node);
+  }
 };
 
 /// Everything one switch needs to execute its segment of a decentralized
@@ -232,6 +289,10 @@ struct SegmentManifest {
   bool sink = false;               ///< acks the controllers when applied
 
   bool operator==(const SegmentManifest&) const = default;
+  template <class Io>
+  void fields(Io& io) {
+    io(update, preds, succs, sink);
+  }
 };
 
 /// Canonical signed bytes of a manifest ("the ordered manifest"): covers
@@ -245,11 +306,16 @@ util::Bytes manifest_signing_bytes(const SegmentManifest& manifest, std::uint64_
 /// crash-tolerant baselines and carries a threshold partial under Cicero
 /// (switches quorum-aggregate manifests exactly like updates).
 struct ManifestMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kManifest;
   SegmentManifest manifest;
   EventId cause;
   std::uint64_t epoch = 0;  ///< membership phase the signature is valid for
   crypto::PartialSignature partial;
 
+  template <class Io>
+  void fields(Io& io) {
+    io(manifest, cause, epoch, partial);
+  }
   util::Bytes encode() const;
   static std::optional<ManifestMsg> decode(const util::Bytes& wire);
 };
@@ -259,12 +325,22 @@ struct ManifestMsg {
 /// Signed with the sender switch's PKI key so a compromised switch cannot
 /// release its neighbors' segments early by forging peer signals.
 struct SegmentDoneMsg {
+  static constexpr CoreMsgTag kTag = CoreMsgTag::kSegmentDone;
   sched::UpdateId for_update = 0;   ///< the receiver's gated segment
   sched::UpdateId done_update = 0;  ///< the sender's completed segment
   std::uint32_t switch_node = 0;    ///< sender's topology index
   std::uint64_t epoch = 0;
   util::Bytes sig;
 
+  template <class Io>
+  void signed_fields(Io& io) {
+    io(for_update, done_update, switch_node, epoch);
+  }
+  template <class Io>
+  void fields(Io& io) {
+    signed_fields(io);
+    io(sig);
+  }
   util::Bytes body() const;
   util::Bytes encode() const;
   static std::optional<SegmentDoneMsg> decode(const util::Bytes& wire);

@@ -1,6 +1,5 @@
 #include "core/switch_runtime.hpp"
 
-#include "bft/failure_detector.hpp"
 #include "crypto/frost.hpp"
 #include "util/logging.hpp"
 
@@ -15,6 +14,7 @@ SwitchRuntime::SwitchRuntime(sim::Simulator& simulator, sim::NetworkSim& network
       net_(network),
       config_(std::move(config)),
       cpu_(simulator),
+      applied_(config_.applied_dedupe_window),
       innet_completed_(config_.applied_dedupe_window) {
   if (config_.obs != nullptr) {
     cpu_.set_obs(config_.obs, config_.node, obs::kTidMain);
@@ -62,7 +62,6 @@ void SwitchRuntime::emit_flow_request(const net::FlowMatch& match, double reserv
   e.match = match;
   e.reserved_bps = reserved_bps;
   emit_event(std::move(e));
-  if (config_.event_retry <= 0) return;
   if (retries_left == 0) {
     // Last attempt.  If it too goes unanswered, forget the outstanding
     // marker so a later packet miss can restart the request cycle —
@@ -89,14 +88,13 @@ void SwitchRuntime::crash() {
   ++crashes_;
   CICERO_LOG_INFO(kLog, "s%u: crash (losing %zu rules)", config_.topo_index, table_.size());
   // Volatile state is gone: forwarding rules, partial-signature buffers,
-  // dedup sets and in-flight event markers.  Losing applied_ids_ is
+  // dedup sets and in-flight event markers.  Losing applied_ is
   // deliberate — after recovery a retransmitted update is genuinely new
   // to this switch and re-applying it re-installs the lost rule.
   lost_rules_ = table_.rules();
   table_ = net::FlowTable{};
   pending_.clear();
-  applied_ids_.clear();
-  applied_order_.clear();
+  applied_.clear();
   outstanding_events_.clear();
   first_rx_.clear();
   missed_while_down_.clear();
@@ -123,7 +121,6 @@ void SwitchRuntime::crash() {
   pending_manifests_.clear();
   accepted_.clear();
   early_done_.clear();
-  dec_applied_.clear();
   // Aggregator role (in-network mode): buffered replica traffic and the
   // fan-out cache die with the switch.  Liveness comes from the replicas'
   // ack timers — their retransmissions escalate to full bodies and are
@@ -270,7 +267,7 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
     return;
   }
   const sched::UpdateId id = m.update.id;
-  if (applied_ids_.count(id) != 0) {
+  if (applied_.contains(id)) {
     // Duplicate of an applied update: the sender retransmitted because it
     // never saw our ack (or its partial arrived after the quorum closed).
     // Re-ack to the sender only instead of re-applying (idempotence).
@@ -282,7 +279,7 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   if (!is_threshold_signed(config_.framework)) {
     // No quorum authentication: the first copy of the update is applied
     // as-is.  (This is the attack surface the Byzantine tests exploit.)
-    note_applied(id);
+    applied_.put(id, DecApplied{});
     apply_update(m.update);
     return;
   }
@@ -294,7 +291,7 @@ void SwitchRuntime::on_update(sim::NodeId from, const UpdateMsg& m) {
   const crypto::Digest key = crypto::Sha256::hash(signing_bytes);
   add_partial(pending_, id, key, m.partial, &m.update, std::move(signing_bytes));
   try_aggregate(pending_, id, key, [this](const sched::Update& update, const util::Bytes&) {
-    note_applied(update.id);
+    applied_.put(update.id, DecApplied{});
     apply_update(update);
   });
 }
@@ -357,7 +354,7 @@ void SwitchRuntime::try_aggregate(Buckets<Key, Body>& pending, sched::UpdateId i
 }
 
 bool SwitchRuntime::settled(sched::UpdateId id) const {
-  return applied_ids_.count(id) != 0 || accepted_.count(id) != 0 ||
+  return applied_.contains(id) || accepted_.count(id) != 0 ||
          innet_completed_.contains(id);
 }
 
@@ -387,7 +384,7 @@ void SwitchRuntime::on_innet_partial(sim::NodeId from, sched::UpdateId id,
                                      const crypto::PartialSignature& partial,
                                      const UpdateMsg* body, std::uint64_t share_digest) {
   if (replay_innet(id, from)) return;
-  if (applied_ids_.count(id) != 0) {
+  if (applied_.contains(id)) {
     // Self-targeted update already applied (and evicted from the fan-out
     // cache, or applied via an escalated duplicate): plain re-ack.
     send_ack(id, /*reissue=*/true, from);
@@ -456,7 +453,7 @@ void SwitchRuntime::fan_out(AggUpdateMsg out) {
   if (out.update.switch_node == config_.topo_index) {
     // The aggregator is itself the target: skip the network hop (and
     // re-verifying a signature this switch just produced).
-    note_applied(id);
+    applied_.put(id, DecApplied{});
     apply_update(out.update);
     return;
   }
@@ -466,7 +463,7 @@ void SwitchRuntime::fan_out(AggUpdateMsg out) {
 
 void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
   if (down_) return;
-  if (applied_ids_.count(m.update.id) != 0) {
+  if (applied_.contains(m.update.id)) {
     // The aggregator forwards retransmissions on behalf of whichever
     // controller is still missing the ack, so the re-ack goes to the
     // whole control plane rather than just the aggregator.
@@ -487,7 +484,7 @@ void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
   }
   cpu_.execute(config_.costs.threshold_verify, "threshold.verify", [this, m, sig_ok]() mutable {
     if (down_) return;
-    if (applied_ids_.count(m.update.id) != 0) return;
+    if (applied_.contains(m.update.id)) return;
     if (sig_ok.valid() && !sig_ok.take()) {
       ++updates_rejected_;
       m_rejected_.inc();
@@ -495,20 +492,9 @@ void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
                       config_.topo_index, static_cast<unsigned long long>(m.update.id));
       return;
     }
-    note_applied(m.update.id);
+    applied_.put(m.update.id, DecApplied{});
     apply_update(m.update);
   });
-}
-
-void SwitchRuntime::note_applied(sched::UpdateId id) {
-  if (!applied_ids_.insert(id).second) return;
-  applied_order_.push_back(id);
-  while (applied_order_.size() > config_.applied_dedupe_window) {
-    const sched::UpdateId oldest = applied_order_.front();
-    applied_order_.pop_front();
-    applied_ids_.erase(oldest);
-    dec_applied_.erase(oldest);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -520,18 +506,13 @@ void SwitchRuntime::on_manifest(sim::NodeId from, const ManifestMsg& m) {
   if (m.epoch < phase_) return;  // stale control-plane epoch
   phase_ = m.epoch;
   const sched::UpdateId id = m.manifest.update.id;
-  if (applied_ids_.count(id) != 0) {
+  if (const DecApplied* dec = applied_.find(id)) {
     // Duplicate of an applied segment: the controller retransmitted
     // because the chain's sink never acked.  Idempotent recovery —
     // re-signal our successors (the likely lost messages) and, if we are
     // the sink, re-ack the sender.
-    const auto dec = dec_applied_.find(id);
-    if (dec != dec_applied_.end()) {
-      signal_successors(id, dec->second.succs, /*resignal=*/true);
-      if (dec->second.sink) send_ack(id, /*reissue=*/true, from);
-    } else {
-      send_ack(id, /*reissue=*/true, from);
-    }
+    signal_successors(id, dec->succs, /*resignal=*/true);
+    if (dec->sink) send_ack(id, /*reissue=*/true, from);
     return;
   }
   milestone(Milestone::kRx, id);
@@ -581,8 +562,7 @@ void SwitchRuntime::maybe_apply_manifest(sched::UpdateId id) {
   }
   const SegmentManifest manifest = std::move(it->second.manifest);
   accepted_.erase(it);
-  note_applied(id);
-  dec_applied_[id] = DecApplied{manifest.succs, manifest.sink};
+  applied_.put(id, DecApplied{manifest.succs, manifest.sink});
   milestone(Milestone::kPeerReady, id);
   apply_update(manifest.update);
 }
@@ -606,7 +586,7 @@ void SwitchRuntime::on_segment_done(const SegmentDoneMsg& d) {
                       d.switch_node);
       return;
     }
-    if (applied_ids_.count(d.for_update) != 0) return;  // already applied
+    if (applied_.contains(d.for_update)) return;  // already applied
     const auto it = accepted_.find(d.for_update);
     if (it != accepted_.end()) {
       it->second.done_preds.insert(d.done_update);
@@ -662,15 +642,12 @@ void SwitchRuntime::apply_update(const sched::Update& update) {
     m_applied_.inc();
     milestone(Milestone::kApplied, update.id);
     for (const auto& observer : observers_) observer(update);
-    const auto dec = dec_applied_.find(update.id);
-    if (dec != dec_applied_.end()) {
-      // Decentralized: done signals flow in-band to the downstream peers;
-      // only the chain sink acks the control plane (for its whole chain).
-      signal_successors(update.id, dec->second.succs, /*resignal=*/false);
-      if (dec->second.sink) send_ack(update.id, /*reissue=*/false);
-    } else {
-      send_ack(update.id, /*reissue=*/false);
-    }
+    // Decentralized: done signals flow in-band to the downstream peers;
+    // only the chain sink acks the control plane (for its whole chain).
+    // An id evicted from the window since it was queued acks as a sink.
+    const DecApplied* dec = applied_.find(update.id);
+    if (dec != nullptr) signal_successors(update.id, dec->succs, /*resignal=*/false);
+    if (dec == nullptr || dec->sink) send_ack(update.id, /*reissue=*/false);
   });
 }
 

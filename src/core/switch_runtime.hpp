@@ -15,7 +15,6 @@
 // verified (tests), otherwise only the costs are charged (large benches).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <set>
@@ -146,7 +145,7 @@ class SwitchRuntime {
   /// signed-event path (one per update id, P4BFT response comparison).
   std::uint64_t agg_mismatches() const { return agg_mismatches_; }
   /// Current size of the bounded duplicate-suppression set (tests).
-  std::size_t applied_dedupe_size() const { return applied_ids_.size(); }
+  std::size_t applied_dedupe_size() const { return applied_.size(); }
 
  private:
   // Decentralized mode (DESIGN.md §15): an accepted manifest waits locally
@@ -157,10 +156,12 @@ class SwitchRuntime {
   };
   /// Post-apply peer bookkeeping, kept as long as the id stays inside the
   /// dedupe window so duplicate manifests can trigger idempotent
-  /// re-signaling (loss recovery without controller round trips).
+  /// re-signaling (loss recovery without controller round trips).  An
+  /// update applied outside a decentralized chain keeps the default: no
+  /// successors, and it acks the control plane itself like a chain sink.
   struct DecApplied {
     std::vector<SegmentPeer> succs;
-    bool sink = false;
+    bool sink = true;
   };
 
   /// In-network aggregation (DESIGN.md §16): completed aggregation, cached
@@ -225,8 +226,6 @@ class SwitchRuntime {
   /// Signs and sends one SegmentDoneMsg per downstream peer.
   void signal_successors(sched::UpdateId id, const std::vector<SegmentPeer>& succs,
                          bool resignal);
-  /// Duplicate-suppression with a bounded memory (Config::applied_dedupe_window).
-  void note_applied(sched::UpdateId id);
   void apply_update(const sched::Update& update);
   /// Signs and sends the ack for `id`: to the whole control plane, or —
   /// for a re-ack of an already-applied update's duplicate copy (§5.1
@@ -247,10 +246,9 @@ class SwitchRuntime {
 
   std::uint64_t event_seq_ = 0;
   Buckets<crypto::Digest, sched::Update> pending_;
-  /// Bounded dedupe set: `applied_ids_` for membership, `applied_order_`
-  /// (insertion order) to retire the oldest id past the window.
-  std::set<sched::UpdateId> applied_ids_;
-  std::deque<sched::UpdateId> applied_order_;
+  /// Duplicate suppression (§5.1 idempotence): the applied ids, bounded by
+  /// Config::applied_dedupe_window, each with its peer bookkeeping.
+  ReplayWindow<DecApplied> applied_;
   std::set<std::pair<net::NodeIndex, net::NodeIndex>> outstanding_events_;
   std::uint64_t events_emitted_ = 0;
   std::uint64_t updates_applied_ = 0;
@@ -273,7 +271,6 @@ class SwitchRuntime {
   /// SegmentDones that raced ahead of their manifest: for_update -> preds
   /// already done.  Bounded by the dedupe window against abandoned chains.
   std::map<sched::UpdateId, std::set<sched::UpdateId>> early_done_;
-  std::map<sched::UpdateId, DecApplied> dec_applied_;
   /// Highest control-plane membership epoch seen; older manifests and
   /// peer signals are stale and dropped.
   std::uint64_t phase_ = 0;

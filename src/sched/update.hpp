@@ -12,13 +12,13 @@
 #include <vector>
 
 #include "net/flow_table.hpp"
-#include "util/serialize.hpp"
 
 namespace cicero::sched {
 
 using UpdateId = std::uint64_t;
 
 enum class UpdateOp : std::uint8_t { kInstall = 0, kRemove = 1 };
+constexpr UpdateOp wire_max(UpdateOp) { return UpdateOp::kRemove; }
 
 struct Update {
   UpdateId id = 0;
@@ -26,9 +26,13 @@ struct Update {
   UpdateOp op = UpdateOp::kInstall;
   net::FlowRule rule;  ///< for kRemove only rule.match is meaningful
 
-  void serialize(util::Writer& w) const;
-  static Update deserialize(util::Reader& r);
   bool operator==(const Update&) const = default;
+  /// Wire fields, in order (the field lists of core/messages.hpp).
+  template <class Io>
+  void fields(Io& io) {
+    io(id, switch_node, op, rule.match.src_host, rule.match.dst_host, rule.next_hop,
+       rule.reserved_bps);
+  }
 };
 
 struct ScheduledUpdate {

@@ -226,7 +226,9 @@ TEST_P(ConflictingBodyPaths, BucketSeparately) {
   send_copy(make_update(1), 2);
   EXPECT_EQ(rt_->updates_applied(), 1u);
   EXPECT_EQ(rt_->table().lookup({100, 200})->next_hop, 9u);  // honest rule won
-  if (GetParam() == QuorumPath::kInNetwork) EXPECT_EQ(rt_->agg_mismatches(), 1u);
+  if (GetParam() == QuorumPath::kInNetwork) {
+    EXPECT_EQ(rt_->agg_mismatches(), 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(QuorumBucket, ConflictingBodyPaths,
@@ -404,7 +406,7 @@ TEST_F(SwitchRuntimeTest, AggregatorNotifyUpdatesConfig) {
 }
 
 TEST_F(SwitchRuntimeTest, AppliedDedupeWindowBoundsMemory) {
-  // Regression: applied_ids_ grew without bound for the lifetime of the
+  // Regression: the applied-id set grew without bound for the lifetime of the
   // switch.  With a window of 8, applying 20 distinct updates must leave
   // at most 8 remembered ids — and dedupe still works inside the window.
   rebuild([](SwitchRuntime::Config& cfg) { cfg.applied_dedupe_window = 8; });

@@ -7,6 +7,10 @@
 // (the Table 2 gap).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "integration/helpers.hpp"
 
 namespace cicero {
@@ -80,10 +84,20 @@ TEST(Byzantine, SilentControllerDoesNotBlockCicero) {
 /// One replica of a kCiceroAgg control plane mutates every update it
 /// signs, under each threshold backend.  Index 0 is the aggregator itself:
 /// its own corrupted body reaches its buckets first.
+///
+/// gtest names a parameter that has no printer by its raw bytes.  The
+/// padding after `backend` is spelled out and zeroed, so those bytes, and
+/// with them the test names, are the same on every run.
 struct MutatingReplicaCase {
   core::ThresholdBackend backend;
+  std::array<std::uint8_t, 7> zero_pad{};
   std::size_t controller;  ///< index into controller_ids()
 };
+static_assert(std::has_unique_object_representations_v<MutatingReplicaCase>);
+
+MutatingReplicaCase mutating_case(core::ThresholdBackend backend, std::size_t controller) {
+  return {.backend = backend, .controller = controller};
+}
 
 class MutatingReplica : public ::testing::TestWithParam<MutatingReplicaCase> {};
 
@@ -110,14 +124,14 @@ TEST_P(MutatingReplica, CannotStallCiceroAgg) {
 
 INSTANTIATE_TEST_SUITE_P(
     Byzantine, MutatingReplica,
-    ::testing::Values(MutatingReplicaCase{core::ThresholdBackend::kSimBls, 0},
-                      MutatingReplicaCase{core::ThresholdBackend::kSimBls, 1},
-                      MutatingReplicaCase{core::ThresholdBackend::kSimBls, 2},
-                      MutatingReplicaCase{core::ThresholdBackend::kSimBls, 3},
-                      MutatingReplicaCase{core::ThresholdBackend::kFrost, 0},
-                      MutatingReplicaCase{core::ThresholdBackend::kFrost, 1},
-                      MutatingReplicaCase{core::ThresholdBackend::kFrost, 2},
-                      MutatingReplicaCase{core::ThresholdBackend::kFrost, 3}),
+    ::testing::Values(mutating_case(core::ThresholdBackend::kSimBls, 0),
+                      mutating_case(core::ThresholdBackend::kSimBls, 1),
+                      mutating_case(core::ThresholdBackend::kSimBls, 2),
+                      mutating_case(core::ThresholdBackend::kSimBls, 3),
+                      mutating_case(core::ThresholdBackend::kFrost, 0),
+                      mutating_case(core::ThresholdBackend::kFrost, 1),
+                      mutating_case(core::ThresholdBackend::kFrost, 2),
+                      mutating_case(core::ThresholdBackend::kFrost, 3)),
     [](const auto& info) {
       return std::string(info.param.backend == core::ThresholdBackend::kFrost ? "Frost"
                                                                                : "SimBls") +

@@ -169,9 +169,13 @@ TEST_P(TraceLifecycle, SpansPairAndEventCountsAreStable) {
     const std::string cat = json_field(line, "cat");
     const auto track = std::make_pair(cat, json_field(line, "id"));
     if (ph == "b") ++open_spans[track];
-    if (ph == "e") EXPECT_GE(--open_spans[track], 0) << "end without begin: " << line;
+    if (ph == "e") {
+      EXPECT_GE(--open_spans[track], 0) << "end without begin: " << line;
+    }
     if (ph == "s") flows_started.insert(track);
-    if (ph == "f") EXPECT_EQ(flows_started.count(track), 1u) << "finish without start: " << line;
+    if (ph == "f") {
+      EXPECT_EQ(flows_started.count(track), 1u) << "finish without start: " << line;
+    }
     ++counts[ph + " " + (cat.empty() ? "-" : cat) + " " + json_field(line, "name")];
   }
   for (const auto& [track, depth] : open_spans) {
