@@ -100,7 +100,6 @@ void PbftReplica::broadcast(const BftMessage& m) {
 }
 
 void PbftReplica::on_message(sim::NodeId from, const util::Bytes& wire) {
-  (void)from;
   if (crashed_) return;
   auto decoded = BftMessage::decode(wire);
   if (!decoded) {
@@ -109,6 +108,13 @@ void PbftReplica::on_message(sim::NodeId from, const util::Bytes& wire) {
   }
   auto& [msg, sig] = *decoded;
   if (msg.sender >= n()) return;
+  // A replica speaks only from its own node: with unsigned messages the
+  // link is the only thing that authenticates the claimed sender.
+  if (from != node_of(msg.sender)) {
+    // Registered on first use, so a run that rejects nothing reports no key.
+    if (config_.obs != nullptr) config_.obs->metrics.counter("bft.rejected.sender_link").inc();
+    return;
+  }
   if (config_.sign_messages) {
     const auto s = crypto::SchnorrSignature::from_bytes(sig);
     if (!s || !crypto::schnorr_verify(keys_.replica_pks.at(msg.sender), msg.encode_body(), *s)) {

@@ -70,7 +70,8 @@ class PbftReplica {
 
   /// Entry point for network messages addressed to this replica; the owner
   /// wires this into its NetworkSim handler (possibly demuxed with other
-  /// traffic).
+  /// traffic).  A message whose claimed sender is not the replica at
+  /// node `from` is dropped.
   void on_message(sim::NodeId from, const util::Bytes& wire);
 
   ReplicaId id() const { return config_.id; }

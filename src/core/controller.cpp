@@ -48,7 +48,7 @@ Controller::Controller(sim::Simulator& simulator, sim::NetworkSim& network, Conf
                        Environment env)
     : sim_(simulator), net_(network), config_(std::move(config)), env_(std::move(env)),
       cpu_(simulator), audit_(env_.sign_pool) {
-  if (config_.backend == ThresholdBackend::kFrost && config_.real_crypto) {
+  if (config_.framework == FrameworkKind::kCiceroAggFrost && config_.real_crypto) {
     frost_signer_ = std::make_unique<crypto::FrostSigner>(config_.share, config_.group_pk);
     nonce_drbg_ = std::make_unique<crypto::Drbg>(config_.nonce_seed ^ 0xF057ull);
   }
@@ -228,6 +228,10 @@ void Controller::on_event(const Event& e, PoolFuture<bool>& sig_ok) {
     CICERO_LOG_WARN(kLog, "c%u: event with bad origin signature dropped", config_.id);
     return;
   }
+  if (!origin_may_raise(e)) {
+    count_reject("ctrl.rejected.event_origin");
+    return;
+  }
 
   // The centralized/crash-tolerant baselines run one global control plane
   // spanning every domain: no filtering, no forwarding.
@@ -254,6 +258,23 @@ void Controller::on_event(const Event& e, PoolFuture<bool>& sig_ok) {
   replica_->submit(e.encode());
 }
 
+bool Controller::origin_may_raise(const Event& e) const {
+  switch (e.kind) {
+    case EventKind::kFlowRequest:
+    case EventKind::kFlowTeardown:
+    case EventKind::kAggMismatch:
+      // Switch events; the sequence bound keeps update ids one to one with
+      // their causes (update_id_base keeps 32 bits of it).
+      return e.id.origin < kControllerOriginBase && e.id.seq <= 0xFFFFFFFFULL;
+    case EventKind::kAddController:
+    case EventKind::kRemoveController:
+      return std::any_of(config_.members.begin(), config_.members.end(), [&](const MemberInfo& m) {
+        return kControllerOriginBase + m.id == e.id.origin;
+      });
+  }
+  return false;
+}
+
 std::set<net::DomainId> Controller::domains_of_path(
     const std::vector<net::NodeIndex>& path) const {
   std::set<net::DomainId> domains;
@@ -266,8 +287,8 @@ std::set<net::DomainId> Controller::domains_of_path(
 void Controller::forward_cross_domain(const Event& e, const std::set<net::DomainId>& domains) {
   for (const net::DomainId d : domains) {
     if (d == config_.domain) continue;
-    const auto it = env_.domain_directory.find(d);
-    if (it == env_.domain_directory.end() || it->second.empty()) continue;
+    const auto it = env_.domain_directory->find(d);
+    if (it == env_.domain_directory->end() || it->second.empty()) continue;
     // Forward to the lowest-id member of the remote domain (any valid
     // recipient works; lowest-id matches the aggregator-selection rule).
     Event fwd = e;
@@ -295,6 +316,12 @@ void Controller::on_deliver(bft::SeqNum seq, const util::Bytes& payload) {
 }
 
 void Controller::process_event(const Event& e) {
+  // Ordered events include any a Byzantine member submitted straight to
+  // the broadcast, so the origin rule is enforced here too.
+  if (!origin_may_raise(e)) {
+    count_reject("ctrl.rejected.event_origin");
+    return;
+  }
   if (!events_processed_set_.insert(e.id).second) return;
   const bool submitted_here = events_submitted_.count(e.id) != 0;
   events_submitted_.erase(e.id);
@@ -367,10 +394,8 @@ void Controller::process_flow_event(const Event& e) {
   }
   if (local.updates.empty()) return;
 
-  for (const auto& su : local.updates) update_cause_[su.update.id] = e.id;
-
   cpu_.execute(config_.costs.route_compute, "route.compute",
-               [this, eid = e.id, local = std::move(local)] {
+               [this, local = std::move(local)] {
     std::vector<sched::UpdateId> ready;
     try {
       ready = tracker_.add(local);
@@ -390,12 +415,12 @@ void Controller::process_flow_event(const Event& e) {
     }
     if (obs::CritPath* cp = crit_leader() ? critpath() : nullptr) {
       for (const auto& su : local.updates) {
-        const EventId& cause = update_cause_.at(su.update.id);
+        const EventId cause = cause_of(su.update.id);
         cp->update_scheduled(su.update.id, cause.origin, cause.seq, sim_.now());
       }
     }
     if (config_.framework == FrameworkKind::kCiceroDecentralized) {
-      dispatch_decentralized(local, eid);
+      dispatch_decentralized(local);
     } else {
       for (const sched::UpdateId id : ready) release_update(id);
     }
@@ -405,21 +430,19 @@ void Controller::process_flow_event(const Event& e) {
 void Controller::release_update(sched::UpdateId id) {
   m_deps_released_.inc();
   milestone(Milestone::kReleased, id);
-  send_update(tracker_.update(id), update_cause_.at(id));
+  send_update(tracker_.update(id));
 }
 
-void Controller::send_update(const sched::Update& update, const EventId& cause) {
+void Controller::send_update(const sched::Update& update) {
   if (fault_ == ControllerFault::kSilent) return;
-  await_ack(update.id, cause);
-  dispatch_update(update, cause);
+  await_ack(update.id);
+  dispatch_update(update);
 }
 
-void Controller::await_ack(sched::UpdateId id, const EventId& cause) {
-  update_sent_at_.emplace(id, sim_.now());
+void Controller::await_ack(sched::UpdateId id) {
   Inflight& fl = inflight_[id];
-  fl.cause = cause;
+  fl.sent_at = sim_.now();
   fl.attempt = 0;
-  ++fl.epoch;
   arm_ack_timer(id, config_.ack_timeout);
 }
 
@@ -435,10 +458,9 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
   const auto it = inflight_.find(id);
   if (it == inflight_.end()) return;
   sim_.cancel(it->second.timer);  // re-arm: at most one pending timer per id
-  const std::uint64_t epoch = it->second.epoch;
-  it->second.timer = sim_.after_cancellable(delay, [this, id, epoch, delay] {
+  it->second.timer = sim_.after_cancellable(delay, [this, id, delay] {
     const auto fl = inflight_.find(id);
-    if (fl == inflight_.end() || fl->second.epoch != epoch) return;  // acked or re-armed
+    if (fl == inflight_.end()) return;  // erasing an entry cancels its timer
     if (fault_ == ControllerFault::kSilent || !tracker_.knows(id)) {
       inflight_.erase(fl);
       return;
@@ -464,10 +486,10 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
       // SegmentDone; resending every manifest re-triggers both (switches
       // dedupe applied segments and re-signal their successors).
       for (const SegmentManifest& m : chain->second->plan.manifests) {
-        send_manifest(m, chain->second->cause, /*retransmit=*/true);
+        send_manifest(m, /*retransmit=*/true);
       }
     } else {
-      dispatch_update(tracker_.update(id), fl->second.cause, /*retransmit=*/true);
+      dispatch_update(tracker_.update(id), /*retransmit=*/true);
     }
     arm_ack_timer(id, delay * 2);
   });
@@ -476,8 +498,8 @@ void Controller::arm_ack_timer(sched::UpdateId id, sim::SimTime delay) {
 // Retry exhaustion (both execution modes): finalize every update that can
 // no longer make progress.  The tracker abandons `id` plus its transitive
 // dependents (none of them can ever be released once `id` will never
-// complete); each abandoned id sheds its timer, latency bookkeeping and
-// open trace track, so pending() drains to zero and a late ack is the
+// complete); each abandoned id sheds its in-flight record and open trace
+// track, so pending() drains to zero and a late ack is the
 // usual already-completed no-op.  Abandoned updates keep their CritPath
 // record incomplete — attribution summaries only cover completed records,
 // so the 95 % floor is unaffected.
@@ -499,13 +521,9 @@ void Controller::abandon_update(sched::UpdateId id) {
     // inflight entry, but stay defensive): shed the local state without
     // double-closing its already-closed trace track.
     disarm_ack_timer(id);
-    update_sent_at_.erase(id);
-    update_cause_.erase(id);
   }
   for (const sched::UpdateId r : removed) {
     disarm_ack_timer(r);
-    update_sent_at_.erase(r);
-    update_cause_.erase(r);
     pending_dep_flow_.erase(r);
     ++updates_abandoned_;
     m_abandoned_.inc();
@@ -518,7 +536,6 @@ void Controller::abandon_update(sched::UpdateId id) {
                                    config_.node, obs::kTidMain);
     }
   }
-  flush_parked_chains();  // abandonment also resolves cross-schedule waits
 }
 
 void Controller::disarm_ack_timer(sched::UpdateId id) {
@@ -528,13 +545,12 @@ void Controller::disarm_ack_timer(sched::UpdateId id) {
   inflight_.erase(it);
 }
 
-void Controller::dispatch_update(const sched::Update& update, const EventId& cause,
-                                 bool retransmit) {
+void Controller::dispatch_update(const sched::Update& update, bool retransmit) {
   if (fault_ == ControllerFault::kSilent) return;
 
   UpdateMsg msg;
   msg.update = update;
-  msg.cause = cause;
+  msg.cause = cause_of(update.id);
   if (fault_ == ControllerFault::kMutateUpdates || fault_ == ControllerFault::kRogueUpdates) {
     // Corrupt the rule: point the flow at the wrong neighbor (a loop- or
     // blackhole-inducing change a compromised controller would make).
@@ -544,7 +560,8 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
   const bool threshold = is_threshold_signed(config_.framework);
   const sim::SimTime sign_cost = threshold ? config_.costs.partial_sign : sim::SimTime{0};
   AheadPartial partial;
-  if (threshold && config_.backend == ThresholdBackend::kSimBls && config_.real_crypto) {
+  const bool frost = config_.framework == FrameworkKind::kCiceroAggFrost;
+  if (threshold && !frost && config_.real_crypto) {
     partial = partial_sign_ahead(update_signing_bytes(msg.update));
   }
 
@@ -553,7 +570,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
                                    "sign", config_.node, obs::kTidCrypto);
   }
   const sched::UpdateId uid = update.id;
-  cpu_.execute(sign_cost, "update.sign", [this, uid, retransmit, msg = std::move(msg),
+  cpu_.execute(sign_cost, "update.sign", [this, uid, retransmit, frost, msg = std::move(msg),
                                           partial]() mutable {
     if (trace_leader()) {
       config_.obs->trace.async_end("update", obs::update_track_id(config_.domain, uid), "sign",
@@ -574,7 +591,7 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     // own corruption; see core/audit.hpp).
     audit_.append(msg.cause, update_signing_bytes(msg.update), config_.key);
     if (is_threshold_signed(config_.framework)) {
-      if (config_.backend == ThresholdBackend::kFrost) {
+      if (frost) {
         // FROST round 1: attach a fresh one-time nonce commitment; the
         // actual partial is produced in round 2 (on_frost_session).
         msg.partial.signer = config_.share.index;
@@ -600,16 +617,16 @@ void Controller::dispatch_update(const sched::Update& update, const EventId& cau
     ++updates_sent_;
     m_updates_sent_.inc();
 
-    const auto sw_it = env_.switch_nodes.find(msg.update.switch_node);
-    if (sw_it == env_.switch_nodes.end()) return;
+    const auto sw_it = env_.switch_nodes->find(msg.update.switch_node);
+    if (sw_it == env_.switch_nodes->end()) return;
 
-    if (config_.framework == FrameworkKind::kCiceroAgg && !is_aggregator()) {
+    if (aggregates_at_controller(config_.framework) && !is_aggregator()) {
       // Route through the aggregator (Fig. 7c).  The partial-carrying hop
       // is part of the signing phase's control-plane traffic.
       send(lowest_member(config_.members).node, msg.encode(),
            retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kSign,
            /*southbound=*/false);
-    } else if (config_.framework == FrameworkKind::kCiceroAgg) {
+    } else if (aggregates_at_controller(config_.framework)) {
       on_peer_update(msg);  // we are the aggregator: count our own partial
     } else {
       if (!retransmit) milestone(Milestone::kSent, uid);
@@ -677,35 +694,10 @@ void Controller::dispatch_innet(const UpdateMsg& msg, sched::UpdateId uid, std::
 // Decentralized execution (ez-Segway mode; DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-void Controller::dispatch_decentralized(const sched::UpdateSchedule& local,
-                                        const EventId& cause) {
+void Controller::dispatch_decentralized(const sched::UpdateSchedule& local) {
   if (fault_ == ControllerFault::kSilent) return;
   auto chain = std::make_shared<DecChain>();
-  chain->cause = cause;
-  chain->plan = DecentralizedScheduler::plan(local, tracker_, env_.switch_nodes);
-
-  // In-band signaling only sequences THIS schedule's edges.  A dependency
-  // on an earlier schedule's still-pending update cannot be waited out at
-  // the switch (that applier predates the plan and will never signal it),
-  // so the whole chain parks at the controller until the tracker has seen
-  // every such predecessor complete — the same gating the
-  // controller-driven path gets from release_update.
-  std::set<sched::UpdateId> waiting;
-  for (const auto& su : local.updates) {
-    for (const sched::UpdateId d : su.deps) {
-      if (chain->plan.index.count(d) != 0) continue;  // sequenced in-band
-      if (!tracker_.knows(d) || tracker_.completed(d)) continue;
-      waiting.insert(d);
-    }
-  }
-  if (!waiting.empty()) {
-    parked_chains_.push_back(ParkedChain{std::move(chain), std::move(waiting)});
-    return;
-  }
-  launch_chain(chain);
-}
-
-void Controller::launch_chain(const std::shared_ptr<DecChain>& chain) {
+  chain->plan = DecentralizedScheduler::plan(local, tracker_, *env_.switch_nodes);
   // Every segment leaves the controller immediately — there is no
   // controller-side dependency wait past this point, the switches
   // sequence the chain in-band.  Only the sinks are tracked for acks: a
@@ -716,61 +708,19 @@ void Controller::launch_chain(const std::shared_ptr<DecChain>& chain) {
   }
   for (const sched::UpdateId sink : chain->plan.sinks) {
     dec_chains_[sink] = chain;
-    await_ack(sink, chain->cause);
+    await_ack(sink);
   }
   for (const SegmentManifest& m : chain->plan.manifests) {
-    send_manifest(m, chain->cause, /*retransmit=*/false);
+    send_manifest(m, /*retransmit=*/false);
   }
 }
 
-// Re-examine parked chains after any tracker completion (sink-ack closure
-// or abandonment).  A chain whose cross-schedule waits have all drained
-// launches — unless the completion that freed it was an abandonment that
-// swept the chain's own ids (tracker_.abandon walks reverse-dependence
-// edges across schedules); a never-launched chain's segments can't have
-// completed any other way, so any completed segment means exactly that.
-// Such a chain is dropped, abandoning whatever the sweep missed, instead
-// of shipping segments downstream of a rule that never landed.
-void Controller::flush_parked_chains() {
-  if (in_chain_flush_ || parked_chains_.empty()) return;
-  in_chain_flush_ = true;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = parked_chains_.begin(); it != parked_chains_.end();) {
-      ParkedChain& pk = *it;
-      for (auto w = pk.waiting.begin(); w != pk.waiting.end();) {
-        w = tracker_.completed(*w) ? pk.waiting.erase(w) : std::next(w);
-      }
-      if (!pk.waiting.empty()) {
-        ++it;
-        continue;
-      }
-      const std::shared_ptr<DecChain> chain = pk.chain;
-      it = parked_chains_.erase(it);
-      progress = true;
-      const bool swept =
-          std::any_of(chain->plan.manifests.begin(), chain->plan.manifests.end(),
-                      [this](const SegmentManifest& m) { return tracker_.completed(m.update.id); });
-      if (!swept) {
-        launch_chain(chain);
-        continue;
-      }
-      for (const SegmentManifest& m : chain->plan.manifests) {
-        if (!tracker_.completed(m.update.id)) abandon_update(m.update.id);
-      }
-    }
-  }
-  in_chain_flush_ = false;
-}
-
-void Controller::send_manifest(const SegmentManifest& manifest, const EventId& cause,
-                               bool retransmit) {
+void Controller::send_manifest(const SegmentManifest& manifest, bool retransmit) {
   if (fault_ == ControllerFault::kSilent) return;
 
   ManifestMsg msg;
   msg.manifest = manifest;
-  msg.cause = cause;
+  msg.cause = cause_of(manifest.update.id);
   msg.epoch = membership_phase_;
   if (fault_ == ControllerFault::kMutateUpdates || fault_ == ControllerFault::kRogueUpdates) {
     // Same corruption as dispatch_update: a loop-inducing next hop.  The
@@ -798,8 +748,8 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
     ++manifests_sent_;
     m_manifests_sent_.inc();
 
-    const auto sw_it = env_.switch_nodes.find(msg.manifest.update.switch_node);
-    if (sw_it == env_.switch_nodes.end()) return;
+    const auto sw_it = env_.switch_nodes->find(msg.manifest.update.switch_node);
+    if (sw_it == env_.switch_nodes->end()) return;
     if (!retransmit) milestone(Milestone::kSent, uid);
     send(sw_it->second, msg.encode(),
          retransmit ? obs::CritPhase::kRetransmit : obs::CritPhase::kPropagate,
@@ -815,25 +765,21 @@ void Controller::send_manifest(const SegmentManifest& manifest, const EventId& c
 void Controller::on_ack_decentralized(const AckMsg& ack) {
   const auto ch = dec_chains_.find(ack.update_id);
   if (ch == dec_chains_.end()) return;  // duplicate sink ack, or not a sink
-  disarm_ack_timer(ack.update_id);
   const std::shared_ptr<DecChain> chain = ch->second;
   dec_chains_.erase(ch);
 
-  const sim::SimTime now = sim_.now();
-  const auto sent = update_sent_at_.find(ack.update_id);
-  if (sent != update_sent_at_.end()) {
+  const auto fl = inflight_.find(ack.update_id);
+  if (fl != inflight_.end()) {
     // One histogram sample per chain sink: first manifest out -> sink ack
     // in, the decentralized analogue of the per-update ack round trip.
-    if (config_.obs != nullptr) update_ack_ms_.observe(sim::to_ms(now - sent->second));
-    update_sent_at_.erase(sent);
+    if (config_.obs != nullptr) update_ack_ms_.observe(sim::to_ms(sim_.now() - fl->second.sent_at));
+    disarm_ack_timer(ack.update_id);
   }
   for (const sched::UpdateId id : chain->plan.ancestors(ack.update_id)) {
     if (!chain->finalized.insert(id).second) continue;  // shared with another sink
     tracker_.complete(id);  // ready list unused: every segment already shipped
-    update_cause_.erase(id);
     milestone(id == ack.update_id ? Milestone::kAcked : Milestone::kChainAcked, id);
   }
-  flush_parked_chains();  // the closure may free a cross-schedule wait
 }
 
 // ---------------------------------------------------------------------------
@@ -852,23 +798,16 @@ void Controller::on_ack(const AckMsg& ack, PoolFuture<bool>& sig_ok) {
     on_ack_decentralized(ack);
     return;
   }
-  disarm_ack_timer(ack.update_id);  // cancels the pending retransmission wakeup
-  const auto it = update_sent_at_.find(ack.update_id);
-  if (it != update_sent_at_.end()) {
-    if (config_.obs != nullptr) update_ack_ms_.observe(sim::to_ms(sim_.now() - it->second));
-    update_sent_at_.erase(it);
+  const auto it = inflight_.find(ack.update_id);
+  if (it != inflight_.end()) {
+    if (config_.obs != nullptr) update_ack_ms_.observe(sim::to_ms(sim_.now() - it->second.sent_at));
+    disarm_ack_timer(ack.update_id);  // cancels the pending retransmission wakeup
     milestone(Milestone::kAcked, ack.update_id);
   } else if (crit_leader()) {
     // A duplicate, or an ack that outran our own send: the profiler's
     // first-wins acked stamp only; the trace closes on the first ack.
     critpath()->update_acked(ack.update_id, sim_.now());
   }
-  // Retransmits use inflight_'s copy, so the cause can go — but only once
-  // the tracker has scheduled the id.  An ack can outrun our own
-  // route.compute (the switch answered a faster replica's copy while ours
-  // is still queued); erasing then would strip the cause the pending
-  // dispatch still reads.  The switch dedupes our late copy and re-acks.
-  if (tracker_.knows(ack.update_id)) update_cause_.erase(ack.update_id);
   for (const sched::UpdateId id : tracker_.complete(ack.update_id)) {
     if (trace_leader()) {
       // Dependency-release edge: arrow from this ack to the dependent's
@@ -887,14 +826,14 @@ void Controller::on_ack(const AckMsg& ack, PoolFuture<bool>& sig_ok) {
 // ---------------------------------------------------------------------------
 
 void Controller::on_peer_update(const UpdateMsg& m) {
-  if (config_.framework != FrameworkKind::kCiceroAgg || !is_aggregator()) return;
+  if (!aggregates_at_controller(config_.framework) || !is_aggregator()) return;
   const sched::UpdateId id = m.update.id;
   // A partial for an update we already aggregated means the sender never
   // saw the ack: the aggregated update or the ack was lost downstream.
   // Replay the cached aggregate; the switch dedupes and re-acks.
   if (const util::Bytes* shipped = agg_shipped_.find(id)) {
-    const auto sw_it = env_.switch_nodes.find(m.update.switch_node);
-    if (sw_it != env_.switch_nodes.end()) {
+    const auto sw_it = env_.switch_nodes->find(m.update.switch_node);
+    if (sw_it != env_.switch_nodes->end()) {
       milestone(Milestone::kResent, id);
       send(sw_it->second, *shipped, obs::CritPhase::kRetransmit, /*southbound=*/true);
     }
@@ -907,7 +846,7 @@ void Controller::on_peer_update(const UpdateMsg& m) {
   if (bucket != nullptr && bucket->aggregating) return;
   AggBody body{AggUpdateMsg{m.update, m.cause, {}}, {}, {}, {}};
 
-  if (config_.backend == ThresholdBackend::kFrost) {
+  if (config_.framework == FrameworkKind::kCiceroAggFrost) {
     if (bucket != nullptr && !bucket->body.frost_session.empty()) {
       // Retransmission while a signing session is in flight: the sender
       // missed the session message (or its partial was lost).  Re-send the
@@ -969,7 +908,7 @@ void Controller::aggregate_and_ship(sched::UpdateId id, const crypto::Digest& ke
   cpu_.execute(cost, "aggregate", [this, id, key] {
     Bucket<AggBody>* bucket = find_bucket(agg_pending_, id, key);
     if (bucket == nullptr) return;
-    const bool frost = config_.backend == ThresholdBackend::kFrost;
+    const bool frost = config_.framework == FrameworkKind::kCiceroAggFrost;
     std::optional<util::Bytes> sig;
     if (!config_.real_crypto) {
       sig = util::Bytes{static_cast<std::uint8_t>(frost ? 0x01 : 0x00)};  // placeholder
@@ -989,8 +928,8 @@ void Controller::aggregate_and_ship(sched::UpdateId id, const crypto::Digest& ke
     msg.agg_sig = std::move(*sig);
     const util::Bytes wire = msg.encode();
     agg_shipped_.put(id, wire);
-    const auto sw_it = env_.switch_nodes.find(msg.update.switch_node);
-    if (sw_it != env_.switch_nodes.end()) {
+    const auto sw_it = env_.switch_nodes->find(msg.update.switch_node);
+    if (sw_it != env_.switch_nodes->end()) {
       milestone(Milestone::kSent, id);  // aggregator == crit/trace leader
       send(sw_it->second, wire, obs::CritPhase::kPropagate, /*southbound=*/true);
     }
@@ -999,7 +938,7 @@ void Controller::aggregate_and_ship(sched::UpdateId id, const crypto::Digest& ke
 }
 
 // ---------------------------------------------------------------------------
-// FROST signing round (kFrost backend, aggregator-coordinated; §4.2 with a
+// FROST signing round (kCiceroAggFrost, aggregator-coordinated; §4.2 with a
 // cryptographically real threshold scheme — costs one extra round trip)
 // ---------------------------------------------------------------------------
 
@@ -1122,8 +1061,8 @@ void Controller::finish_membership_change(std::uint64_t phase, Config new_group_
 }
 
 void Controller::inject_rogue_update(net::NodeIndex switch_node, const sched::Update& update) {
-  const auto sw_it = env_.switch_nodes.find(switch_node);
-  if (sw_it == env_.switch_nodes.end()) return;
+  const auto sw_it = env_.switch_nodes->find(switch_node);
+  if (sw_it == env_.switch_nodes->end()) return;
   UpdateMsg msg;
   msg.update = update;
   if (config_.real_crypto && is_threshold_signed(config_.framework)) {

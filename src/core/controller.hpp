@@ -75,9 +75,6 @@ class Controller {
     crypto::Point group_pk;
     std::map<crypto::ShareIndex, crypto::Point> verification_shares;
     std::uint32_t quorum = 3;
-    /// Threshold scheme for update authentication; kFrost requires the
-    /// kCiceroAgg framework (the aggregator coordinates signing sessions).
-    ThresholdBackend backend = ThresholdBackend::kSimBls;
     /// Sim address of the designated aggregator switch (kCiceroInNetwork,
     /// DESIGN.md §16), re-pointed by the Deployment when that switch
     /// crashes.  Replicas address it instead of the target switch.  On
@@ -101,15 +98,16 @@ class Controller {
     obs::Observability* obs = nullptr;
   };
 
-  /// Immutable environment shared by all controllers of a deployment.
+  /// What every controller of a deployment reads and the Deployment owns.
   struct Environment {
     const net::Topology* topology = nullptr;
     const sched::UpdateScheduler* scheduler = nullptr;
     const PkiDirectory* pki = nullptr;
     /// topology switch index -> network endpoint.
-    std::map<net::NodeIndex, sim::NodeId> switch_nodes;
-    /// domain -> that domain's control-plane members (for forwarding).
-    std::map<net::DomainId, std::vector<MemberInfo>> domain_directory;
+    const std::map<net::NodeIndex, sim::NodeId>* switch_nodes = nullptr;
+    /// domain -> that domain's control-plane members (for forwarding);
+    /// the Deployment updates it when a membership change settles.
+    const std::map<net::DomainId, std::vector<MemberInfo>>* domain_directory = nullptr;
     /// Host workers for the audit log's signatures and for the crypto this
     /// controller consumes (DESIGN.md §6); null computes everything inline.
     SignPool* sign_pool = nullptr;
@@ -183,13 +181,15 @@ class Controller {
   /// `sig_ok` is the origin-signature verdict started at decode; empty in
   /// cost-model runs.
   void on_event(const Event& e, PoolFuture<bool>& sig_ok);
+  /// Whether `e`'s origin may raise its kind: flow and kAggMismatch events
+  /// come from switches, membership events from a member of this plane.
+  bool origin_may_raise(const Event& e) const;
   void on_deliver(bft::SeqNum seq, const util::Bytes& payload);
   void process_event(const Event& e);
   void process_flow_event(const Event& e);
   void release_update(sched::UpdateId id);
-  void send_update(const sched::Update& update, const EventId& cause);
-  void dispatch_update(const sched::Update& update, const EventId& cause,
-                       bool retransmit = false);
+  void send_update(const sched::Update& update);
+  void dispatch_update(const sched::Update& update, bool retransmit = false);
   /// In-network aggregation: rank-dependent send to the aggregator switch.
   void dispatch_innet(const UpdateMsg& msg, sched::UpdateId uid, std::size_t rank,
                       bool retransmit);
@@ -208,13 +208,13 @@ class Controller {
   /// This replica's rank: position of our id in the sorted member list.
   std::size_t member_rank() const;
   /// Records the first-send instant and arms the ack timer for `id`.
-  void await_ack(sched::UpdateId id, const EventId& cause);
+  void await_ack(sched::UpdateId id);
   void arm_ack_timer(sched::UpdateId id, sim::SimTime delay);
   void on_ack(const AckMsg& ack, PoolFuture<bool>& sig_ok);
   /// Decentralized execution: plan + ship every manifest of one schedule,
   /// arm sink timers.
-  void dispatch_decentralized(const sched::UpdateSchedule& local, const EventId& cause);
-  void send_manifest(const SegmentManifest& manifest, const EventId& cause, bool retransmit);
+  void dispatch_decentralized(const sched::UpdateSchedule& local);
+  void send_manifest(const SegmentManifest& manifest, bool retransmit);
   void on_ack_decentralized(const AckMsg& ack);
   /// Retry exhaustion: finalize `id` and every transitive dependent (or,
   /// in decentralized mode, the sink's whole ancestor closure) so no
@@ -237,7 +237,6 @@ class Controller {
   sim::CpuServer cpu_;
   std::unique_ptr<bft::PbftReplica> replica_;
   sched::DependencyTracker tracker_;
-  std::map<sched::UpdateId, EventId> update_cause_;
   std::set<EventId> events_submitted_;
   std::set<EventId> events_processed_set_;
   std::vector<Event> queued_events_;  ///< arrivals during membership change
@@ -278,15 +277,13 @@ class Controller {
 
   /// Released updates awaiting a verified switch ack; drives the ack
   /// timeout/retransmission loop.  `timer` is the pending wakeup,
-  /// cancelled outright when the ack lands (O(1) in the simulator's
-  /// indexed heap) so the common all-acks-arrive path leaves no deferred
-  /// no-op events behind; `epoch` additionally orphans stale timers when
-  /// an entry is re-armed (e.g. the id re-enters after a membership
-  /// change).
+  /// cancelled outright whenever the entry goes (O(1) in the simulator's
+  /// indexed heap), so no stale wakeup ever finds a later entry.  The
+  /// first ack closes the lifecycle trace and, when obs is attached,
+  /// feeds update_ack_ms_ with the time since `sent_at`.
   struct Inflight {
-    EventId cause;
+    sim::SimTime sent_at = 0;   ///< first-send instant
     std::uint32_t attempt = 0;  ///< retransmissions so far
-    std::uint64_t epoch = 0;
     sim::Simulator::TimerId timer;
   };
   void disarm_ack_timer(sched::UpdateId id);
@@ -298,26 +295,10 @@ class Controller {
   /// completion bookkeeping against overlapping sink closures and
   /// duplicate sink acks.
   struct DecChain {
-    EventId cause;
     DecentralizedPlan plan;
     std::set<sched::UpdateId> finalized;
   };
   std::map<sched::UpdateId, std::shared_ptr<DecChain>> dec_chains_;
-
-  /// Chains whose schedule depends on an *earlier* schedule's
-  /// still-pending updates.  Those predecessors predate this plan, so
-  /// their appliers will never signal it in-band; the whole chain is
-  /// held at the controller until the tracker has seen every listed id
-  /// complete (sink ack or abandonment), mirroring the dependency wait
-  /// the controller-driven path gets from the tracker's release gating.
-  struct ParkedChain {
-    std::shared_ptr<DecChain> chain;
-    std::set<sched::UpdateId> waiting;  ///< uncompleted cross-schedule deps
-  };
-  void launch_chain(const std::shared_ptr<DecChain>& chain);
-  void flush_parked_chains();
-  std::vector<ParkedChain> parked_chains_;
-  bool in_chain_flush_ = false;  ///< abandon_update re-enters via flush
 
   std::uint64_t events_seen_ = 0;
   std::uint64_t events_processed_ = 0;
@@ -373,9 +354,6 @@ class Controller {
   obs::Counter m_southbound_bytes_;
   obs::Counter m_agg_mismatch_;
   obs::Histogram update_ack_ms_;
-  /// First-send instant per un-acked update: its first ack closes the
-  /// lifecycle trace and, when obs is attached, feeds update_ack_ms_.
-  std::map<sched::UpdateId, sim::SimTime> update_sent_at_;
 
  public:
   /// Originates a membership event (bootstrap controller proposes adds;

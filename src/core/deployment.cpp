@@ -13,16 +13,16 @@ namespace cicero::core {
 
 namespace {
 constexpr const char* kLog = "deploy";
+
+/// Threshold t of an n-member plane: t = f + 1 with n >= 3f + 1.
+std::uint32_t quorum_of(std::size_t members) {
+  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (members - 1) / 3 + 1));
 }
+}  // namespace
 
 Deployment::Deployment(net::Topology topology, DeploymentParams params)
     : topo_(std::move(topology)), params_(params), obs_(params.metrics, params.trace),
       drbg_(params.seed) {
-  if (params_.backend == ThresholdBackend::kFrost &&
-      params_.framework != FrameworkKind::kCiceroAgg) {
-    throw std::invalid_argument(
-        "Deployment: the FROST backend requires controller aggregation");
-  }
   setup_parallel();
   if (psim_ == nullptr) {
     // The trace/log clocks read the sequential simulator; in parallel
@@ -39,7 +39,6 @@ Deployment::Deployment(net::Topology topology, DeploymentParams params)
   faults_ = std::make_unique<sim::FaultInjector>(sim_, *net_,
                                                 params_.seed ^ 0xFA17FA17FA17FA17ULL);
   build_nodes();
-  wire_handlers();
   if (psim_ != nullptr) {
     std::vector<obs::Observability*> shard_obs;
     for (const auto& o : shard_obs_) shard_obs.push_back(o.get());
@@ -154,10 +153,9 @@ void Deployment::build_nodes() {
     cfg.costs = params_.costs;
     cfg.key = crypto::SchnorrKeyPair::generate(drbg_);
     cfg.group_pk = plane.group_pk;
-    cfg.quorum = plane_quorum(plane);
-    cfg.backend = params_.backend;
+    cfg.quorum = quorum_of(plane.member_ids.size());
     for (const std::uint32_t id : plane.member_ids) cfg.controllers.push_back(ctrl_nodes_.at(id));
-    if (params_.framework == FrameworkKind::kCiceroAgg) {
+    if (aggregates_at_controller(params_.framework)) {
       cfg.aggregator = ctrl_nodes_.at(
           *std::min_element(plane.member_ids.begin(), plane.member_ids.end()));
     }
@@ -171,6 +169,10 @@ void Deployment::build_nodes() {
     auto runtime = std::make_unique<SwitchRuntime>(sim_for_domain(d), *net_, std::move(cfg));
     runtime->add_applied_observer(
         [this, sw](const sched::Update& u) { on_switch_applied(sw, u); });
+    net_->set_handler(switch_nodes_.at(sw), [rt = runtime.get()](sim::NodeId from,
+                                                                 const util::Bytes& wire) {
+      rt->handle_message(from, wire);
+    });
     switches_[sw] = std::move(runtime);
   }
 
@@ -184,20 +186,24 @@ void Deployment::build_nodes() {
 
   // Controllers (after switches and all planes exist, so the cross-domain
   // directory is complete at construction).
-  std::map<net::DomainId, std::vector<Controller::MemberInfo>> directory;
-  for (const auto& [d, plane] : planes_) directory[d] = member_infos(plane);
-  for (auto& [d, plane] : planes_) {
-    const net::DomainId dom = d;
-    for (const std::uint32_t id : plane.member_ids) {
-      auto ctrl = std::make_unique<Controller>(
-          sim_for_domain(dom), *net_, member_config(plane, id),
-          Controller::Environment{&topo_, &scheduler_, &pki_, switch_nodes_, directory,
-                                  &sign_pool_});
-      ctrl->set_on_membership(
-          [this, dom](const Event& e) { on_membership_event(dom, e); });
-      controllers_[id] = std::move(ctrl);
-    }
+  for (const auto& [d, plane] : planes_) directory_[d] = member_infos(plane);
+  for (const auto& [d, plane] : planes_) {
+    for (const std::uint32_t id : plane.member_ids) start_controller(plane, id);
   }
+}
+
+void Deployment::start_controller(const Plane& plane, std::uint32_t id) {
+  const net::DomainId domain = plane.domain;
+  auto ctrl = std::make_unique<Controller>(
+      sim_for_domain(domain), *net_, member_config(plane, id),
+      Controller::Environment{&topo_, &scheduler_, &pki_, &switch_nodes_, &directory_,
+                              &sign_pool_});
+  ctrl->set_on_membership([this, domain](const Event& e) { on_membership_event(domain, e); });
+  controllers_[id] = std::move(ctrl);
+  net_->set_handler(ctrl_nodes_.at(id), [this, id](sim::NodeId from, const util::Bytes& wire) {
+    const auto it = controllers_.find(id);
+    if (it != controllers_.end()) it->second->handle_message(from, wire);
+  });
 }
 
 std::uint32_t Deployment::provision_controller(net::DomainId domain,
@@ -236,7 +242,7 @@ void Deployment::build_plane(net::DomainId domain,
   // Threshold key material.  With real crypto the full joint-Feldman DKG
   // runs (no dealer ever knows the group secret); cost-only runs use a
   // direct Shamir split, which has identical share structure.
-  const std::size_t t = std::max<std::size_t>(1, (n - 1) / 3 + 1);
+  const std::size_t t = quorum_of(n);
   std::vector<crypto::ShareIndex> indices;
   for (const std::uint32_t id : plane.member_ids) indices.push_back(id + 1);
 
@@ -256,11 +262,6 @@ void Deployment::build_plane(net::DomainId domain,
     }
   }
   planes_[domain] = std::move(plane);
-}
-
-std::uint32_t Deployment::plane_quorum(const Plane& plane) const {
-  const std::size_t n = plane.member_ids.size();
-  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (n - 1) / 3 + 1));
 }
 
 std::vector<Controller::MemberInfo> Deployment::member_infos(const Plane& plane) const {
@@ -285,8 +286,7 @@ Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t i
   cfg.share = shares_.at(id);
   cfg.group_pk = plane.group_pk;
   cfg.verification_shares = plane.verification_shares;
-  cfg.quorum = plane_quorum(plane);
-  cfg.backend = params_.backend;
+  cfg.quorum = quorum_of(plane.member_ids.size());
   cfg.nonce_seed = params_.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1));
   cfg.real_crypto = params_.real_crypto;
   cfg.ack_timeout = params_.ack_timeout;
@@ -299,22 +299,6 @@ Controller::Config Deployment::member_config(const Plane& plane, std::uint32_t i
   }
   cfg.obs = obs_for_domain(plane.domain);
   return cfg;
-}
-
-void Deployment::wire_handlers() {
-  for (auto& [sw, runtime] : switches_) {
-    net_->set_handler(switch_nodes_.at(sw),
-                      [rt = runtime.get()](sim::NodeId from, const util::Bytes& wire) {
-                        rt->handle_message(from, wire);
-                      });
-  }
-  for (auto& [id, ctrl] : controllers_) {
-    net_->set_handler(ctrl_nodes_.at(id),
-                      [this, id = id](sim::NodeId from, const util::Bytes& wire) {
-                        const auto it = controllers_.find(id);
-                        if (it != controllers_.end()) it->second->handle_message(from, wire);
-                      });
-  }
 }
 
 sim::SimTime Deployment::latency(sim::NodeId a, sim::NodeId b) const {
@@ -742,24 +726,32 @@ void Deployment::on_membership_event(net::DomainId domain, const Event& e) {
 void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
   Plane& plane = planes_.at(domain);
 
+  // Only an add of a controller provisioned for this domain that never
+  // joined, or a remove of a member that leaves one behind, changes
+  // anything; any other request is ignored before the plane freezes.
+  std::vector<std::uint32_t> new_members = plane.member_ids;
+  if (e.kind == EventKind::kAddController) {
+    const auto home = ctrl_domain_.find(e.member);
+    if (home == ctrl_domain_.end() || home->second != domain ||
+        controllers_.count(e.member) != 0) {
+      return;
+    }
+    new_members.push_back(e.member);
+  } else {
+    const auto pos = std::find(new_members.begin(), new_members.end(), e.member);
+    if (pos == new_members.end() || new_members.size() == 1) return;
+    new_members.erase(pos);
+  }
+  std::sort(new_members.begin(), new_members.end());
+
   // Freeze event processing (events delivered during the change queue up).
   for (const std::uint32_t id : plane.member_ids) {
     const auto it = controllers_.find(id);
     if (it != controllers_.end()) it->second->begin_membership_change();
   }
 
-  std::vector<std::uint32_t> new_members = plane.member_ids;
-  if (e.kind == EventKind::kAddController) {
-    new_members.push_back(e.member);
-  } else {
-    new_members.erase(std::remove(new_members.begin(), new_members.end(), e.member),
-                      new_members.end());
-  }
-  std::sort(new_members.begin(), new_members.end());
-  if (new_members.empty()) return;
-
-  const std::size_t t_old = plane_quorum(plane);
-  const std::size_t t_new = std::max<std::size_t>(1, (new_members.size() - 1) / 3 + 1);
+  const std::size_t t_old = quorum_of(plane.member_ids.size());
+  const std::size_t t_new = quorum_of(new_members.size());
 
   // (iii) resharing: a quorum of existing members re-deals toward the new
   // member set; the group public key is unchanged (asserted below).  The
@@ -818,6 +810,7 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
   sim_.after(settle, [this, domain, kind, member, new_members, new_shares, new_vshares] {
     Plane& pl = planes_.at(domain);
     pl.member_ids = new_members;
+    directory_[domain] = member_infos(pl);
     pl.verification_shares = new_vshares;
     pl.phase += 1;
     for (const auto& [id, share] : new_shares) shares_[id] = share;
@@ -839,22 +832,7 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
       if (controllers_.count(id) == 0) {
         // Newly added controller object (iv: receives data-plane state,
         // policies and directory).
-        std::map<net::DomainId, std::vector<Controller::MemberInfo>> directory;
-        for (const auto& [dd, pp] : planes_) directory[dd] = member_infos(pp);
-        auto ctrl = std::make_unique<Controller>(
-            sim_, *net_, member_config(pl, id),
-            Controller::Environment{&topo_, &scheduler_, &pki_, switch_nodes_, directory,
-                                  &sign_pool_});
-        ctrl->set_on_membership(
-            [this, domain](const Event& ev) { on_membership_event(domain, ev); });
-        controllers_[id] = std::move(ctrl);
-        net_->set_handler(ctrl_nodes_.at(id),
-                          [this, id](sim::NodeId from, const util::Bytes& wire) {
-                            const auto it = controllers_.find(id);
-                            if (it != controllers_.end()) {
-                              it->second->handle_message(from, wire);
-                            }
-                          });
+        start_controller(pl, id);
         continue;
       }
       controllers_.at(id)->finish_membership_change(pl.phase, member_config(pl, id));
@@ -868,9 +846,9 @@ void Deployment::run_membership_change(net::DomainId domain, const Event& e) {
 void Deployment::notify_switches(const Plane& plane) {
   AggregatorNotifyMsg m;
   m.phase = plane.phase;
-  m.quorum = plane_quorum(plane);
+  m.quorum = quorum_of(plane.member_ids.size());
   for (const std::uint32_t id : plane.member_ids) m.controllers.push_back(ctrl_nodes_.at(id));
-  m.aggregator = params_.framework == FrameworkKind::kCiceroAgg
+  m.aggregator = aggregates_at_controller(params_.framework)
                      ? ctrl_nodes_.at(
                            *std::min_element(plane.member_ids.begin(), plane.member_ids.end()))
                      : sim::kInvalidNode;

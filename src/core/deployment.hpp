@@ -1,7 +1,7 @@
 // Deployment: wires a complete evaluated system.
 //
-// Given a topology, a framework kind (§6.1's four comparands or one of two
-// Cicero extensions) and sizing parameters, `Deployment` creates the
+// Given a topology, a framework kind (§6.1's four comparands or one of
+// three Cicero extensions) and sizing parameters, `Deployment` creates the
 // network simulation, the per-domain control planes (with DKG-derived
 // threshold keys), the switch runtimes, the PKI directory, the latency
 // model, and a flow driver that injects workload flows and records the
@@ -51,10 +51,6 @@ struct DeploymentParams {
   FrameworkKind framework = FrameworkKind::kCicero;
   std::size_t controllers_per_domain = 4;
   CostModel costs;
-  /// Threshold scheme; kFrost is only valid with kCiceroAgg (the signing
-  /// session needs a coordinator) and demonstrates the protocol over a
-  /// cryptographically REAL threshold signature.
-  ThresholdBackend backend = ThresholdBackend::kSimBls;
   bool real_crypto = true;
   std::uint64_t seed = 1;
   /// Tear the route down after each flow completes (Fig. 11c's
@@ -202,7 +198,8 @@ class Deployment {
   std::uint32_t provision_controller(net::DomainId domain, const net::Placement& placement);
   Controller::Config member_config(const Plane& plane, std::uint32_t id);
   std::vector<Controller::MemberInfo> member_infos(const Plane& plane) const;
-  void wire_handlers();
+  /// Builds member `id` of `plane` and attaches it to its network node.
+  void start_controller(const Plane& plane, std::uint32_t id);
   sim::SimTime latency(sim::NodeId a, sim::NodeId b) const;
   sim::SimTime latency_between(const Placement2& pa, const Placement2& pb) const;
   sim::SimTime min_cross_shard_latency() const;
@@ -222,7 +219,6 @@ class Deployment {
   void on_membership_event(net::DomainId domain, const Event& e);
   void run_membership_change(net::DomainId domain, const Event& e);
   void notify_switches(const Plane& plane);
-  std::uint32_t plane_quorum(const Plane& plane) const;
   /// In-network aggregation: deterministic designation rule — the lowest
   /// topology index among the domain's non-crashed switches.
   net::NodeIndex pick_innet_aggregator(net::DomainId d) const;
@@ -262,6 +258,9 @@ class Deployment {
   SignPool sign_pool_;
   std::map<net::NodeIndex, std::unique_ptr<SwitchRuntime>> switches_;
   std::map<net::NodeIndex, sim::NodeId> switch_nodes_;
+  /// Every plane's members, read by all controllers to forward events
+  /// across domains; refreshed when a membership change settles.
+  std::map<net::DomainId, std::vector<Controller::MemberInfo>> directory_;
   std::map<std::uint32_t, std::unique_ptr<Controller>> controllers_;
   std::map<std::uint32_t, crypto::SecretShare> shares_;
   std::map<std::uint32_t, crypto::SchnorrKeyPair> ctrl_keys_;

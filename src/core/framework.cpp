@@ -16,6 +16,8 @@ const char* framework_name(FrameworkKind kind) {
       return "Cicero In-Network";
     case FrameworkKind::kCiceroDecentralized:
       return "Cicero Decentralized";
+    case FrameworkKind::kCiceroAggFrost:
+      return "Cicero Agg FROST";
   }
   return "?";
 }

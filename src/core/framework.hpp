@@ -1,7 +1,7 @@
 // Evaluated frameworks and the Table 2 capability matrix.
 //
 // The paper's evaluation compares four update frameworks (§6.1); the same
-// enum, with two Cicero extensions, selects the deployment wiring
+// enum, with three Cicero extensions, selects the deployment wiring
 // throughout this repository.  The capability matrix reproduces Table 2
 // as data derived from what each implementation actually does, so
 // `bench_table2_features` prints it from code rather than prose.
@@ -14,20 +14,20 @@
 namespace cicero::core {
 
 /// One value per update path the deployment implements.  The first four
-/// are §6.1's comparands; the last two are Cicero extensions from related
-/// work.  Each value fixes where threshold partials are aggregated and who
-/// sequences a schedule, so no combination of settings needs rejecting
-/// beyond the backend rule (kFrost requires kCiceroAgg: FROST's signing
-/// session needs a controller coordinator).
+/// are §6.1's comparands; the rest are Cicero extensions.  Each value fixes
+/// where threshold partials are aggregated, which threshold scheme signs
+/// and who sequences a schedule, so no combination of settings needs
+/// rejecting.
 ///
-/// | framework            | aggregation site           | execution         | backends        |
-/// |----------------------|----------------------------|-------------------|-----------------|
-/// | kCentralized         | none (unauthenticated)     | controller-driven | kSimBls         |
-/// | kCrashTolerant       | none (unauthenticated)     | controller-driven | kSimBls         |
-/// | kCicero              | target switch              | controller-driven | kSimBls         |
-/// | kCiceroAgg           | aggregator controller      | controller-driven | kSimBls, kFrost |
-/// | kCiceroInNetwork     | designated switch (domain) | controller-driven | kSimBls         |
-/// | kCiceroDecentralized | target switch (manifests)  | decentralized     | kSimBls         |
+/// | framework            | aggregation site           | scheme  | execution         |
+/// |----------------------|----------------------------|---------|-------------------|
+/// | kCentralized         | none (unauthenticated)     | none    | controller-driven |
+/// | kCrashTolerant       | none (unauthenticated)     | none    | controller-driven |
+/// | kCicero              | target switch              | SimBLS  | controller-driven |
+/// | kCiceroAgg           | aggregator controller      | SimBLS  | controller-driven |
+/// | kCiceroInNetwork     | designated switch (domain) | SimBLS  | controller-driven |
+/// | kCiceroDecentralized | target switch (manifests)  | SimBLS  | decentralized     |
+/// | kCiceroAggFrost      | aggregator controller      | FROST   | controller-driven |
 ///
 /// Controller-driven execution (paper §5) releases one signed update per
 /// ack round trip as the dependency tracker frees it.  Decentralized
@@ -38,6 +38,9 @@ namespace cicero::core {
 /// (P4BFT-style, DESIGN.md §16) has every replica address one designated
 /// aggregator switch per domain, which compares response digests,
 /// aggregates and fans the single signed update out to the target switch.
+/// SimBLS is the paper's BLS shape (non-interactive, any-t aggregation;
+/// crypto/simbls.hpp).  FROST is real threshold Schnorr: the aggregator
+/// controller fixes each signing session, at one extra round trip.
 enum class FrameworkKind : std::uint8_t {
   kCentralized = 0,          ///< singleton controller, no replication, no auth
   kCrashTolerant = 1,        ///< BFT-ordered control plane, NO quorum auth on switches
@@ -45,6 +48,7 @@ enum class FrameworkKind : std::uint8_t {
   kCiceroAgg = 3,            ///< full protocol, controller-side aggregation (§4.2)
   kCiceroInNetwork = 4,      ///< kCicero, aggregated at a designated switch (P4BFT)
   kCiceroDecentralized = 5,  ///< kCicero, switches sequence the chain in-band (ez-Segway)
+  kCiceroAggFrost = 6,       ///< kCiceroAgg, signed with FROST instead of SimBLS
 };
 
 const char* framework_name(FrameworkKind kind);
@@ -58,6 +62,12 @@ constexpr bool is_threshold_signed(FrameworkKind kind) {
 /// The baselines run one control plane spanning every topology domain
 /// (that is how the paper deploys them); Cicero paths get one per domain.
 constexpr bool uses_global_plane(FrameworkKind kind) { return !is_threshold_signed(kind); }
+
+/// An aggregator controller collects the partials and ships one signed
+/// update per update (§4.2); switches send their events to it.
+constexpr bool aggregates_at_controller(FrameworkKind kind) {
+  return kind == FrameworkKind::kCiceroAgg || kind == FrameworkKind::kCiceroAggFrost;
+}
 
 /// One row of Table 2.
 struct Capabilities {

@@ -14,8 +14,8 @@
 //   0x05  AggUpdateMsg   aggregator (controller or switch) -> switch
 //   0x06  retired (a membership-reshare message no node sent); never reuse
 //   0x07  AggregatorNotifyMsg  control plane -> switch
-//   0x08  FrostSessionMsg      aggregator -> signers (FROST backend)
-//   0x09  FrostPartialMsg      signer -> aggregator (FROST backend)
+//   0x08  FrostSessionMsg      aggregator -> signers (kCiceroAggFrost)
+//   0x09  FrostPartialMsg      signer -> aggregator (kCiceroAggFrost)
 //   0x0A  ManifestMsg    controller -> switch (decentralized execution)
 //   0x0B  SegmentDoneMsg switch -> switch (decentralized execution)
 //   0x0C  PartialShareMsg      controller -> aggregator switch (in-network)
@@ -56,12 +56,6 @@ enum class CoreMsgTag : std::uint8_t {
   kSegmentDone = 0x0B,   ///< switch -> switch: in-band completion signal
   kPartialShare = 0x0C,  ///< controller -> aggregator switch: compact partial
 };
-
-/// Which threshold scheme authenticates updates.  kSimBls is the paper's
-/// BLS shape (non-interactive, any-t aggregation; see crypto/simbls.hpp);
-/// kFrost is REAL threshold Schnorr and requires controller aggregation
-/// (a coordinator fixes the signer set), costing one extra signing round.
-enum class ThresholdBackend : std::uint8_t { kSimBls = 0, kFrost = 1 };
 
 /// Peeks at the demux tag of a wire message (nullopt on empty).
 std::optional<std::uint8_t> peek_tag(const util::Bytes& wire);
@@ -125,6 +119,10 @@ struct Event {
 /// same event (switches count partial signatures per update id), so they
 /// are derived deterministically from the causing event.
 sched::UpdateId update_id_base(const EventId& cause);
+/// The causing event of `update_id_base(cause) + i` for i < 256: the exact
+/// inverse while origin < 2^24 and seq < 2^32, which every event whose
+/// schedule a controller builds satisfies (Controller checks the origin).
+EventId cause_of(sched::UpdateId id);
 
 /// Canonical signed bytes of an update (what threshold partials cover).
 util::Bytes update_signing_bytes(const sched::Update& update);
@@ -143,7 +141,7 @@ struct UpdateMsg {
   /// crash-tolerant frameworks (no quorum authentication — the very gap
   /// Cicero closes).
   crypto::PartialSignature partial;
-  /// FROST backend only: a fresh one-time nonce commitment piggybacked so
+  /// kCiceroAggFrost only: a fresh one-time nonce commitment piggybacked so
   /// the aggregator can assemble a signing session without an extra round.
   util::Bytes frost_commitment;
 

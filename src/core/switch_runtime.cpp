@@ -190,7 +190,7 @@ void SwitchRuntime::emit_event(Event e) {
                "packet_in.sign", [this, e = std::move(e), sig]() mutable {
                  if (sig.valid()) e.sig = sig.take();
                  const util::Bytes wire = e.encode();
-                 if (config_.framework == FrameworkKind::kCiceroAgg &&
+                 if (aggregates_at_controller(config_.framework) &&
                      config_.aggregator != sim::kInvalidNode) {
                    net_.send(config_.node, config_.aggregator, wire);
                  } else {
@@ -474,7 +474,7 @@ void SwitchRuntime::on_agg_update(sim::NodeId from, const AggUpdateMsg& m) {
   milestone(Milestone::kRx, m.update.id);
   PoolFuture<bool> sig_ok;
   if (config_.real_crypto) {
-    sig_ok = submit(config_.pool, [frost = config_.backend == ThresholdBackend::kFrost,
+    sig_ok = submit(config_.pool, [frost = config_.framework == FrameworkKind::kCiceroAggFrost,
                                    pk = config_.group_pk, signing = update_signing_bytes(m.update),
                                    agg_sig = m.agg_sig] {
       if (!frost) return crypto::SimBlsScheme::instance().verify(pk, signing, agg_sig);

@@ -65,9 +65,8 @@ class SwitchRuntime {
     crypto::SchnorrKeyPair key;                ///< PKI pair (event/ack signing)
     crypto::Point group_pk;                    ///< control plane threshold PK
     std::uint32_t quorum = 3;
-    ThresholdBackend backend = ThresholdBackend::kSimBls;
     std::vector<sim::NodeId> controllers;      ///< domain control plane
-    sim::NodeId aggregator = sim::kInvalidNode;  ///< set in kCiceroAgg
+    sim::NodeId aggregator = sim::kInvalidNode;  ///< set when aggregates_at_controller
     bool real_crypto = true;
     /// Unroutable packets keep arriving while a route is missing, so an
     /// unanswered flow-request event is re-emitted after this interval

@@ -28,6 +28,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -196,13 +197,24 @@ class FlatHashMap {
   static constexpr std::size_t kNpos = SIZE_MAX;
   static constexpr std::size_t kMinCapacity = 16;
 
+  /// Integer keys compare by value across signedness, so looking up -1 in
+  /// a table of unsigned keys finds nothing.
+  template <typename K2>
+  static bool same_key(const K& a, const K2& b) {
+    if constexpr (std::is_integral_v<K> && std::is_integral_v<K2>) {
+      return std::cmp_equal(a, b);
+    } else {
+      return a == b;
+    }
+  }
+
   template <typename K2>
   std::size_t find_index(const K2& key) const {
     if (states_.empty()) return kNpos;
     const std::uint64_t h = Hash{}(key);
     std::size_t i = static_cast<std::size_t>(h) & (states_.size() - 1);
     while (states_[i] != State::kEmpty) {
-      if (states_[i] == State::kFull && slots_[i].first == key) return i;
+      if (states_[i] == State::kFull && same_key(slots_[i].first, key)) return i;
       i = (i + 1) & (states_.size() - 1);
     }
     return kNpos;

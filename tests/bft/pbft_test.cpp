@@ -195,6 +195,36 @@ TEST(Pbft, CrashAfterPartialDeliveryStaysConsistent) {
   }
 }
 
+TEST(Pbft, SpoofedSenderIsDropped) {
+  // Unsigned messages: replica 3 sends a pre-prepare that claims to come
+  // from the primary, then its own prepare and commit.  Nobody may order a
+  // payload the primary never saw.
+  Cluster c(4, /*sign=*/false);
+  const BftRequest forged{3, 1, util::Bytes{0xEE}};
+  BftMessage pp;
+  pp.type = BftMsgType::kPrePrepare;
+  pp.sender = 0;
+  pp.view = 0;
+  pp.seq = 1;
+  pp.digest = forged.digest();
+  pp.request = forged;
+  BftMessage prepare = pp;
+  prepare.type = BftMsgType::kPrepare;
+  prepare.sender = 3;
+  prepare.request.reset();
+  BftMessage commit = prepare;
+  commit.type = BftMsgType::kCommit;
+  for (const std::size_t i : {1u, 2u}) {
+    for (const BftMessage* m : {&pp, &prepare, &commit}) {
+      c.net_.send(c.nodes_[3], c.nodes_[i], m->encode({}));
+    }
+  }
+  c.run();
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (const auto& p : c.delivered_[i]) EXPECT_NE(p, forged.payload) << "replica " << i;
+  }
+}
+
 TEST(Pbft, QuorumArithmetic) {
   Cluster c(7);
   EXPECT_EQ(c.replicas_[0]->f(), 2u);

@@ -12,6 +12,7 @@ TEST(Framework, Names) {
   EXPECT_STREQ(framework_name(FrameworkKind::kCiceroAgg), "Cicero Agg");
   EXPECT_STREQ(framework_name(FrameworkKind::kCiceroInNetwork), "Cicero In-Network");
   EXPECT_STREQ(framework_name(FrameworkKind::kCiceroDecentralized), "Cicero Decentralized");
+  EXPECT_STREQ(framework_name(FrameworkKind::kCiceroAggFrost), "Cicero Agg FROST");
 }
 
 TEST(Framework, Table2HasCiceroRowWithAllCapabilities) {

@@ -115,6 +115,17 @@ TEST(CoreMessages, UpdateIdBaseUniquePerEvent) {
   EXPECT_LT(a + 255, b);
 }
 
+TEST(CoreMessages, CauseOfInvertsUpdateIdBase) {
+  for (const std::uint32_t origin : {0u, (1u << 24) - 1}) {
+    for (const std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{0xFFFFFFFF}}) {
+      const EventId e{origin, seq};
+      for (const sched::UpdateId i : {0u, 255u}) {
+        EXPECT_EQ(cause_of(update_id_base(e) + i), e) << origin << " " << seq << " " << i;
+      }
+    }
+  }
+}
+
 TEST(CoreMessages, UpdateMsgRoundTripWithPartial) {
   UpdateMsg m;
   m.update = sample_update();

@@ -167,8 +167,13 @@ TEST(CtDifferential, SecretWipesOnDestruction) {
   auto* s = new (buf) ct::Secret<std::uint64_t>(0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(s->declassify(), 0xDEADBEEFCAFEF00Dull);
   s->~Secret();
-  std::uint64_t leftover = 1;
-  std::memcpy(&leftover, buf, sizeof(leftover));
+  // Read the bytes back through volatile: the object is gone, so only the
+  // raw storage (what an attacker could read) is inspected.
+  std::uint64_t leftover = 0;
+  const volatile unsigned char* bytes = buf;
+  for (std::size_t i = 0; i < sizeof(leftover); ++i) {
+    leftover |= std::uint64_t{bytes[i]} << (8 * i);
+  }
   EXPECT_EQ(leftover, 0u);
 }
 

@@ -81,22 +81,27 @@ TEST(Byzantine, SilentControllerDoesNotBlockCicero) {
   EXPECT_EQ(completed_count(*dep), flows.size());
 }
 
-/// One replica of a kCiceroAgg control plane mutates every update it
-/// signs, under each threshold backend.  Index 0 is the aggregator itself:
-/// its own corrupted body reaches its buckets first.
+/// One replica of a controller-aggregated control plane (kCiceroAgg, or
+/// kCiceroAggFrost when `frost`) mutates every update it signs.  Index 0
+/// is the aggregator itself: its own corrupted body reaches its buckets
+/// first.
 ///
 /// gtest names a parameter that has no printer by its raw bytes.  The
-/// padding after `backend` is spelled out and zeroed, so those bytes, and
+/// padding after `frost` is spelled out and zeroed, so those bytes, and
 /// with them the test names, are the same on every run.
 struct MutatingReplicaCase {
-  core::ThresholdBackend backend;
+  bool frost;
   std::array<std::uint8_t, 7> zero_pad{};
   std::size_t controller;  ///< index into controller_ids()
+
+  FrameworkKind framework() const {
+    return frost ? FrameworkKind::kCiceroAggFrost : FrameworkKind::kCiceroAgg;
+  }
 };
 static_assert(std::has_unique_object_representations_v<MutatingReplicaCase>);
 
-MutatingReplicaCase mutating_case(core::ThresholdBackend backend, std::size_t controller) {
-  return {.backend = backend, .controller = controller};
+MutatingReplicaCase mutating_case(FrameworkKind framework, std::size_t controller) {
+  return {.frost = framework == FrameworkKind::kCiceroAggFrost, .controller = controller};
 }
 
 class MutatingReplica : public ::testing::TestWithParam<MutatingReplicaCase> {};
@@ -106,8 +111,7 @@ TEST_P(MutatingReplica, CannotStallCiceroAgg) {
   // response comparison): a corrupted body that arrives first opens its
   // own bucket, and the honest quorum still aggregates and ships.
   core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCiceroAgg;
-  dp.backend = GetParam().backend;
+  dp.framework = GetParam().framework();
   dp.controllers_per_domain = 4;
   dp.seed = 12345;
   core::Deployment dep(net::build_pod(small_pod()), dp);
@@ -124,18 +128,17 @@ TEST_P(MutatingReplica, CannotStallCiceroAgg) {
 
 INSTANTIATE_TEST_SUITE_P(
     Byzantine, MutatingReplica,
-    ::testing::Values(mutating_case(core::ThresholdBackend::kSimBls, 0),
-                      mutating_case(core::ThresholdBackend::kSimBls, 1),
-                      mutating_case(core::ThresholdBackend::kSimBls, 2),
-                      mutating_case(core::ThresholdBackend::kSimBls, 3),
-                      mutating_case(core::ThresholdBackend::kFrost, 0),
-                      mutating_case(core::ThresholdBackend::kFrost, 1),
-                      mutating_case(core::ThresholdBackend::kFrost, 2),
-                      mutating_case(core::ThresholdBackend::kFrost, 3)),
+    ::testing::Values(mutating_case(FrameworkKind::kCiceroAgg, 0),
+                      mutating_case(FrameworkKind::kCiceroAgg, 1),
+                      mutating_case(FrameworkKind::kCiceroAgg, 2),
+                      mutating_case(FrameworkKind::kCiceroAgg, 3),
+                      mutating_case(FrameworkKind::kCiceroAggFrost, 0),
+                      mutating_case(FrameworkKind::kCiceroAggFrost, 1),
+                      mutating_case(FrameworkKind::kCiceroAggFrost, 2),
+                      mutating_case(FrameworkKind::kCiceroAggFrost, 3)),
     [](const auto& info) {
-      return std::string(info.param.backend == core::ThresholdBackend::kFrost ? "Frost"
-                                                                               : "SimBls") +
-             "Controller" + std::to_string(info.param.controller);
+      return std::string(info.param.frost ? "Frost" : "SimBls") + "Controller" +
+             std::to_string(info.param.controller);
     });
 
 TEST(Byzantine, SilentAggregatorStallsWithoutReassignment) {
@@ -217,6 +220,29 @@ TEST(Byzantine, ForgedEventSignatureDropped) {
   });
   dep->run(sim::seconds(2));
   EXPECT_EQ(dep->controller(ctrl_id).events_processed(), 0u);
+}
+
+TEST(Byzantine, SwitchEventSequenceMustFitUpdateIds) {
+  // Update ids keep 32 bits of the causing event's sequence, so a larger
+  // one would name updates after another event; the controllers refuse
+  // it even when the switch signed it correctly.
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()));
+  const auto hosts = dep->topology().hosts();
+  const net::NodeIndex sw = dep->topology().host_tor(hosts[0]);
+  core::Event e;
+  e.id = core::EventId{sw, (std::uint64_t{1} << 32) + 1};
+  e.kind = core::EventKind::kFlowRequest;
+  e.match = {hosts[0], hosts[1]};
+  e.reserved_bps = 1e6;
+  e.sig = crypto::schnorr_sign(dep->switch_at(sw).config().key, e.body()).to_bytes();
+  dep->simulator().at(sim::milliseconds(1), [&] {
+    for (const auto id : dep->controller_ids()) {
+      dep->controller(id).handle_message(dep->switch_at(sw).config().node, e.encode());
+    }
+  });
+  dep->run(sim::seconds(2));
+  EXPECT_EQ(dep->obs().metrics.counter_value("ctrl.rejected.event_origin"), 4u);
+  EXPECT_FALSE(dep->switch_at(sw).table().has(e.match));
 }
 
 TEST(Byzantine, MutatedPartialExcludedBySwitchRetry) {

@@ -26,20 +26,18 @@ namespace cicero {
 namespace {
 
 using core::FrameworkKind;
-using core::ThresholdBackend;
 
 struct Path {
   const char* name;
   FrameworkKind framework;
-  ThresholdBackend backend;
 };
 
 const Path kPaths[] = {
-    {"Cicero", FrameworkKind::kCicero, ThresholdBackend::kSimBls},
-    {"CiceroAgg", FrameworkKind::kCiceroAgg, ThresholdBackend::kSimBls},
-    {"CiceroAggFrost", FrameworkKind::kCiceroAgg, ThresholdBackend::kFrost},
-    {"CiceroInNetwork", FrameworkKind::kCiceroInNetwork, ThresholdBackend::kSimBls},
-    {"CiceroDecentralized", FrameworkKind::kCiceroDecentralized, ThresholdBackend::kSimBls},
+    {"Cicero", FrameworkKind::kCicero},
+    {"CiceroAgg", FrameworkKind::kCiceroAgg},
+    {"CiceroAggFrost", FrameworkKind::kCiceroAggFrost},
+    {"CiceroInNetwork", FrameworkKind::kCiceroInNetwork},
+    {"CiceroDecentralized", FrameworkKind::kCiceroDecentralized},
 };
 
 /// Everything a run pins.  `completed` has one '1' or '0' per flow record.
@@ -79,7 +77,6 @@ std::unique_ptr<core::Deployment> pin_deployment(const Path& path) {
   fp.domain_per_pod = true;
   core::DeploymentParams dp;
   dp.framework = path.framework;
-  dp.backend = path.backend;
   dp.controllers_per_domain = 4;
   dp.seed = 424242;
   return std::make_unique<core::Deployment>(net::build_datacenter(fp), dp);

@@ -1,6 +1,6 @@
-// End-to-end tests of the FROST threshold-Schnorr backend (controller
-// aggregation with a cryptographically REAL threshold signature — the
-// composition claim of DESIGN.md §1).
+// End-to-end tests of kCiceroAggFrost: controller aggregation with the
+// FROST threshold-Schnorr scheme, a cryptographically REAL threshold
+// signature (the composition claim of DESIGN.md §1).
 #include <gtest/gtest.h>
 
 #include "integration/helpers.hpp"
@@ -9,15 +9,13 @@ namespace cicero {
 namespace {
 
 using core::FrameworkKind;
-using core::ThresholdBackend;
 using testing::completed_count;
 using testing::small_pod;
 using testing::small_workload;
 
 std::unique_ptr<core::Deployment> frost_deployment(bool real_crypto = true) {
   core::DeploymentParams dp;
-  dp.framework = FrameworkKind::kCiceroAgg;
-  dp.backend = ThresholdBackend::kFrost;
+  dp.framework = FrameworkKind::kCiceroAggFrost;
   dp.controllers_per_domain = 4;
   dp.real_crypto = real_crypto;
   dp.seed = 31337;
@@ -25,15 +23,13 @@ std::unique_ptr<core::Deployment> frost_deployment(bool real_crypto = true) {
 }
 
 TEST(FrostBackend, RequiresControllerAggregation) {
-  // Only kCiceroAgg has a controller to coordinate FROST's signing session.
-  for (const auto fw : {FrameworkKind::kCentralized, FrameworkKind::kCrashTolerant,
-                        FrameworkKind::kCicero, FrameworkKind::kCiceroInNetwork,
-                        FrameworkKind::kCiceroDecentralized}) {
-    core::DeploymentParams dp;
-    dp.framework = fw;
-    dp.backend = ThresholdBackend::kFrost;
-    EXPECT_THROW(core::Deployment(net::build_pod(small_pod()), dp), std::invalid_argument)
-        << core::framework_name(fw);
+  // FROST's signing session needs a coordinator, and the one framework
+  // that signs with FROST has it: every switch addresses the aggregator.
+  EXPECT_TRUE(core::aggregates_at_controller(FrameworkKind::kCiceroAggFrost));
+  auto dep = frost_deployment(/*real_crypto=*/false);
+  const sim::NodeId aggregator = dep->controller(dep->domain_controller_ids(0).front()).node();
+  for (const auto sw : dep->topology().switches()) {
+    EXPECT_EQ(dep->switch_at(sw).config().aggregator, aggregator);
   }
 }
 
@@ -70,11 +66,10 @@ TEST(FrostBackend, FlowsCompleteWithRealSignatures) {
 
 TEST(FrostBackend, SlowerThanSimBls) {
   // The extra signing round is visible: FROST setup latency exceeds the
-  // non-interactive SimBLS backend under identical conditions.
+  // non-interactive SimBLS scheme under identical conditions.
   auto frost = frost_deployment();
   core::DeploymentParams dp;
   dp.framework = FrameworkKind::kCiceroAgg;
-  dp.backend = ThresholdBackend::kSimBls;
   dp.controllers_per_domain = 4;
   dp.real_crypto = true;
   dp.seed = 31337;

@@ -111,5 +111,77 @@ TEST(Membership, AggregatorReassignedAfterRemoval) {
   EXPECT_EQ(completed_count(*dep), flows.size());
 }
 
+/// A membership event for `member` from `origin`, signed with `key`.
+core::Event membership_event(core::EventKind kind, std::uint32_t origin, std::uint32_t member,
+                             const crypto::SchnorrKeyPair& key, std::uint64_t seq = 1'000'000) {
+  core::Event e;
+  e.id = core::EventId{origin, seq};
+  e.kind = kind;
+  e.member = member;
+  e.sig = crypto::schnorr_sign(key, e.body()).to_bytes();
+  return e;
+}
+
+/// Sends `e` from switch `sw` to every member of domain 0's plane.
+void send_from_switch(core::Deployment& dep, net::NodeIndex sw, const core::Event& e) {
+  for (const auto id : dep.domain_controller_ids(0)) {
+    dep.network().send(dep.switch_at(sw).config().node, dep.controller(id).node(), e.encode());
+  }
+}
+
+TEST(Membership, SwitchCannotRemoveAController) {
+  // A correctly signed event from a real switch still names an origin
+  // that may not change the plane's membership.
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()));
+  const net::NodeIndex sw = dep->topology().switches().front();
+  const auto victim = dep->domain_controller_ids(0)[1];
+  const auto e = membership_event(core::EventKind::kRemoveController, sw, victim,
+                                  dep->switch_at(sw).config().key);
+  dep->simulator().at(sim::milliseconds(10), [&] { send_from_switch(*dep, sw, e); });
+  dep->run(sim::seconds(5));
+  EXPECT_EQ(dep->domain_controller_ids(0).size(), 4u);
+  EXPECT_EQ(dep->obs().metrics.counter_value("ctrl.rejected.event_origin"), 4u);
+}
+
+TEST(Membership, SwitchCannotAddAnUnprovisionedController) {
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()));
+  const net::NodeIndex sw = dep->topology().switches().front();
+  const auto e = membership_event(core::EventKind::kAddController, sw, 999,
+                                  dep->switch_at(sw).config().key);
+  dep->simulator().at(sim::milliseconds(10), [&] { send_from_switch(*dep, sw, e); });
+  EXPECT_NO_THROW(dep->run(sim::seconds(5)));
+  EXPECT_EQ(dep->domain_controller_ids(0).size(), 4u);
+  EXPECT_EQ(dep->obs().metrics.counter_value("ctrl.rejected.event_origin"), 4u);
+}
+
+TEST(Membership, MemberRequestsThatChangeNothingLeaveThePlaneLive) {
+  // A member submits straight to the broadcast: an add of an id nobody
+  // provisioned, a remove of a non-member, and a switch-signed remove.
+  // The first two are ignored before the plane freezes, the last is
+  // rejected on delivery, and flows keep completing afterwards.
+  auto dep = make_deployment(FrameworkKind::kCicero, net::build_pod(small_pod()));
+  const auto members = dep->domain_controller_ids(0);
+  auto& byz = dep->controller(members[2]);
+  const std::uint32_t origin = core::kControllerOriginBase + byz.id();
+  const net::NodeIndex sw = dep->topology().switches().front();
+  const auto add = membership_event(core::EventKind::kAddController, origin, 999, byz.config().key);
+  const auto remove = membership_event(core::EventKind::kRemoveController, origin, 998,
+                                       byz.config().key, 1'000'001);
+  const auto forged = membership_event(core::EventKind::kRemoveController, sw, members[1],
+                                       dep->switch_at(sw).config().key);
+  dep->simulator().at(sim::milliseconds(10), [&] {
+    for (const auto* e : {&add, &remove, &forged}) byz.replica().submit(e->encode());
+  });
+  EXPECT_NO_THROW(dep->run(sim::seconds(5)));
+  EXPECT_EQ(dep->domain_controller_ids(0), members);
+  for (const auto id : members) EXPECT_FALSE(dep->controller(id).membership_changing());
+  EXPECT_EQ(dep->obs().metrics.counter_value("ctrl.rejected.event_origin"), 4u);
+
+  const auto flows = small_workload(dep->topology(), 10);
+  dep->inject(flows);
+  dep->run(sim::seconds(60));
+  EXPECT_EQ(completed_count(*dep), flows.size());
+}
+
 }  // namespace
 }  // namespace cicero

@@ -92,6 +92,37 @@ TEST(MultiDomain, CrossPodFlowForwardedAndCompleted) {
   EXPECT_GT(forwarded, 0u);
 }
 
+TEST(MultiDomain, CrossPodFlowsAfterDestinationPlaneLosesLowestMember) {
+  // Events cross domains to the lowest-id member of each remote plane.
+  // Once that member leaves, every origin plane must forward to its
+  // successor instead.
+  auto dep = make_deployment(FrameworkKind::kCicero, two_pod_topology());
+  const auto domains = dep->topology().domains();
+  const auto victim = dep->domain_controller_ids(domains[1]).front();
+  dep->simulator().at(sim::milliseconds(10), [&] { dep->remove_controller(victim); });
+  dep->run(sim::seconds(5));
+  ASSERT_EQ(dep->domain_controller_ids(domains[1]).size(), 3u);
+
+  std::vector<net::NodeIndex> pod0, pod1;
+  for (const auto h : dep->topology().hosts()) {
+    (dep->topology().node(h).placement.pod == 0 ? pod0 : pod1).push_back(h);
+  }
+  ASSERT_GE(std::min(pod0.size(), pod1.size()), 4u);
+  std::vector<workload::Flow> flows;
+  for (std::size_t i = 0; i < 4; ++i) {
+    workload::Flow f;
+    f.arrival = sim::milliseconds(1 + static_cast<std::int64_t>(i));
+    f.src_host = pod0[i];
+    f.dst_host = pod1[i];
+    f.size_bytes = 1e5;
+    f.reserved_bps = 1e6;
+    flows.push_back(f);
+  }
+  dep->inject(flows);
+  dep->run(sim::seconds(45));
+  EXPECT_EQ(completed_count(*dep), 4u);
+}
+
 TEST(MultiDomain, FullWorkloadCompletes) {
   auto dep = make_deployment(FrameworkKind::kCicero, two_pod_topology());
   const auto flows = small_workload(dep->topology(), 40);

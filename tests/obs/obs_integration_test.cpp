@@ -119,7 +119,6 @@ TEST(ObsIntegration, RunReportRoundTrip) {
 /// into the test name.
 struct TracedPath {
   core::FrameworkKind framework;
-  core::ThresholdBackend backend;
   const char* label;
   /// Expected "ph cat name count" lines, sorted, for every async, flow and
   /// instant event of the run below.
@@ -136,7 +135,6 @@ std::string json_field(const std::string& line, const std::string& key) {
 }
 
 using core::FrameworkKind;
-using core::ThresholdBackend;
 
 class TraceLifecycle : public ::testing::TestWithParam<TracedPath> {};
 
@@ -144,7 +142,6 @@ TEST_P(TraceLifecycle, SpansPairAndEventCountsAreStable) {
   const TracedPath& path = GetParam();
   core::DeploymentParams dp;
   dp.framework = path.framework;
-  dp.backend = path.backend;
   dp.controllers_per_domain = 4;
   dp.real_crypto = false;
   dp.seed = 12345;
@@ -189,39 +186,38 @@ TEST_P(TraceLifecycle, SpansPairAndEventCountsAreStable) {
 INSTANTIATE_TEST_SUITE_P(
     UpdatePaths, TraceLifecycle,
     ::testing::Values(
-        TracedPath{FrameworkKind::kCentralized, ThresholdBackend::kSimBls, "Centralized",
+        TracedPath{FrameworkKind::kCentralized, "Centralized",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
-        TracedPath{FrameworkKind::kCrashTolerant, ThresholdBackend::kSimBls, "CrashTolerant",
+        TracedPath{FrameworkKind::kCrashTolerant, "CrashTolerant",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
-        TracedPath{FrameworkKind::kCicero, ThresholdBackend::kSimBls, "Cicero",
+        TracedPath{FrameworkKind::kCicero, "Cicero",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 140\n"},
-        TracedPath{FrameworkKind::kCiceroAgg, ThresholdBackend::kSimBls, "CiceroAgg",
+        TracedPath{FrameworkKind::kCiceroAgg, "CiceroAgg",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
-        TracedPath{FrameworkKind::kCiceroAgg, ThresholdBackend::kFrost, "CiceroAggFrost",
+        TracedPath{FrameworkKind::kCiceroAggFrost, "CiceroAggFrost",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 35\n"},
-        TracedPath{FrameworkKind::kCiceroInNetwork, ThresholdBackend::kSimBls, "CiceroInNetwork",
+        TracedPath{FrameworkKind::kCiceroInNetwork, "CiceroInNetwork",
             "b event order 15\n" "b update apply 35\n" "b update sign 35\n" "b update update 35\n"
             "e event order 15\n" "e update apply 35\n" "e update sign 35\n" "e update update 35\n"
             "f dep dep.release 20\n" "f flow update.ack 35\n" "s dep dep.release 20\n"
             "s flow update.send 35\n" "t flow update.agg_fanout 35\n" "t flow update.applied 35\n"
             "t flow update.rx 25\n"},
-        TracedPath{FrameworkKind::kCiceroDecentralized, ThresholdBackend::kSimBls,
-                   "CiceroDecentralized",
+        TracedPath{FrameworkKind::kCiceroDecentralized, "CiceroDecentralized",
             "b event order 15\n" "b update apply 35\n" "b update update 35\n" "e event order 15\n"
             "e update apply 35\n" "e update update 35\n" "f flow update.ack 15\n"
             "s flow update.send 35\n" "t flow update.applied 35\n" "t flow update.rx 140\n"}),

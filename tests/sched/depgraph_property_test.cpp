@@ -189,7 +189,7 @@ TEST(DepgraphProperty, RandomCyclesAreRejected) {
     // A rejected batch must leave the tracker untouched and usable.
     EXPECT_TRUE(dense.idle());
     UpdateSchedule ok;
-    ok.updates.push_back({Update{.id = 999}, {}});
+    ok.updates.push_back({Update{.id = 999, .rule = {}}, {}});
     EXPECT_EQ(dense.add(ok), std::vector<UpdateId>{999u});
   }
 }
@@ -197,7 +197,7 @@ TEST(DepgraphProperty, RandomCyclesAreRejected) {
 TEST(DepgraphProperty, UnknownDependenceRejectedCleanly) {
   DependencyTracker dense;
   UpdateSchedule schedule;
-  schedule.updates.push_back({Update{.id = 1}, {42}});  // 42 never added
+  schedule.updates.push_back({Update{.id = 1, .rule = {}}, {42}});  // 42 never added
   EXPECT_THROW(dense.add(schedule), std::invalid_argument);
   EXPECT_TRUE(dense.idle());
   EXPECT_FALSE(dense.knows(1));  // nothing half-inserted
